@@ -582,7 +582,7 @@ fn measure_ruleset_scaling(workload: &Workload, runs: usize) -> Vec<ScalingRow> 
         });
 
         let grouped_bytes = engines.memory_footprint().total();
-        let monolithic_bytes = mono_engine_bytes + scanner.confirmer().heap_bytes();
+        let monolithic_bytes = mono_engine_bytes + scanner.heap_bytes();
         rows.push(ScalingRow {
             scale,
             rules,

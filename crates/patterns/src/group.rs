@@ -87,7 +87,7 @@ impl RuleGroup {
     }
 
     /// The group-local rule set (compile its
-    /// [`RuleSet::anchors`] into the group's matcher).
+    /// [`RuleSet::content_set`] into the group's matcher).
     pub fn rules(&self) -> &RuleSet {
         &self.set
     }

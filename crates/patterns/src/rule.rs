@@ -3,12 +3,14 @@
 //! A real Snort rule is not one pattern: it is an ordered list of `content:`
 //! strings, each optionally constrained by `offset` / `depth` (absolute
 //! positions in the payload) and `distance` / `within` (positions relative
-//! to where the *previous* content matched). The multi-pattern matcher only
-//! ever searches for one content per rule — the **anchor** — and the
+//! to where the *previous* content matched). One content per rule is its
+//! **anchor**: a rule is considered only once its anchor occurs, and the
 //! remaining contents plus all positional constraints are checked by a
-//! confirmation stage when the anchor fires (Snort's "fast pattern" design;
-//! the rare-substring anchor selection follows Susik et al., "Multiple
-//! pattern matching revisited").
+//! confirmation stage then (Snort's "fast pattern" design; the
+//! rare-substring anchor selection follows Susik et al., "Multiple pattern
+//! matching revisited"). The multi-pattern matcher searches either the
+//! anchors alone or every distinct content, whose occurrences then also
+//! feed confirmation.
 //!
 //! This module provides the rule model shared by the whole workspace:
 //!
@@ -16,7 +18,9 @@
 //! * [`Rule`] — an ordered, non-empty list of contents plus metadata;
 //! * [`RuleSet`] — a collection of rules with the per-rule anchor selected
 //!   over *set statistics* and exposed as a rule-bound [`PatternSet`]
-//!   ([`RuleSet::anchors`]) ready for any engine in the workspace;
+//!   ([`RuleSet::anchors`]), plus the distinct contents as another
+//!   ([`RuleSet::content_set`]), both ready for any engine in the
+//!   workspace;
 //! * [`RuleMatch`] — a confirmed rule occurrence;
 //! * a naive, obviously-correct rule evaluator
 //!   ([`naive_rule_find_all`] and friends) — the ground truth the
@@ -404,12 +408,17 @@ impl fmt::Display for RuleMatch {
 }
 
 /// An immutable collection of rules with per-rule anchors selected over set
-/// statistics, plus the rule-bound anchor [`PatternSet`] the engines are
-/// compiled for.
+/// statistics, plus the two pattern sets engines are compiled for: the
+/// rule-bound anchors ([`RuleSet::anchors`]) and the distinct contents
+/// ([`RuleSet::content_set`]).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct RuleSet {
     rules: Vec<Rule>,
     anchors: PatternSet,
+    contents: PatternSet,
+    /// Per rule, the [`RuleSet::content_set`] slot of each content in
+    /// rule order.
+    slots: Vec<Vec<u32>>,
 }
 
 impl RuleSet {
@@ -445,7 +454,32 @@ impl RuleSet {
             .collect();
         let bindings: Vec<u32> = (0..rules.len() as u32).collect();
         let anchors = PatternSet::new(patterns).with_rule_bindings(bindings);
-        RuleSet { rules, anchors }
+        let mut slot_of: HashMap<(&[u8], bool), u32> = HashMap::new();
+        let mut distinct: Vec<Pattern> = Vec::new();
+        let slots = rules
+            .iter()
+            .map(|rule| {
+                rule.contents
+                    .iter()
+                    .map(|c| {
+                        *slot_of.entry((c.bytes(), c.nocase)).or_insert_with(|| {
+                            distinct.push(
+                                Pattern::new(c.bytes().to_vec(), ProtocolGroup::Any)
+                                    .with_nocase(c.nocase),
+                            );
+                            (distinct.len() - 1) as u32
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        drop(slot_of);
+        RuleSet {
+            rules,
+            anchors,
+            contents: PatternSet::new(distinct),
+            slots,
+        }
     }
 
     /// Number of rules.
@@ -486,6 +520,24 @@ impl RuleSet {
     #[inline]
     pub fn anchors(&self) -> &PatternSet {
         &self.anchors
+    }
+
+    /// The distinct `(bytes, nocase)` contents of every rule, one pattern
+    /// per **slot**, in order of first appearance. An engine compiled for
+    /// this set finds every occurrence any rule's confirmation needs, so
+    /// one pass of it serves as both the anchor pass and the occurrence
+    /// index pass (see `mpm_verify::confirm`).
+    #[inline]
+    pub fn content_set(&self) -> &PatternSet {
+        &self.contents
+    }
+
+    /// The [`RuleSet::content_set`] slot of each content of `rule`, in
+    /// rule order (the rule's anchor is at
+    /// [`Rule::anchor_index`]).
+    #[inline]
+    pub fn content_slots(&self, rule: RuleId) -> &[u32] {
+        &self.slots[rule.index()]
     }
 
     /// Returns a new set with only the rules of `group` plus the
@@ -777,6 +829,34 @@ mod tests {
             got,
             vec![RuleMatch::new(RuleId(0), 3), RuleMatch::new(RuleId(2), 7)]
         );
+    }
+
+    #[test]
+    fn content_set_dedups_by_bytes_and_case_in_slot_order() {
+        let set = RuleSet::new(vec![
+            rule(vec![
+                RuleContent::new(*b"ab"),
+                RuleContent::new(*b"cd").with_distance(0),
+            ]),
+            rule(vec![RuleContent::new(*b"ab").with_offset(4)]),
+            rule(vec![
+                RuleContent::new(*b"ab").with_nocase(true),
+                RuleContent::new(*b"cd"),
+            ]),
+        ]);
+        let contents = set.content_set();
+        let listed: Vec<(&[u8], bool)> = contents
+            .patterns()
+            .iter()
+            .map(|p| (p.bytes(), p.is_nocase()))
+            .collect();
+        assert_eq!(
+            listed,
+            vec![(&b"ab"[..], false), (&b"cd"[..], false), (&b"ab"[..], true)]
+        );
+        assert_eq!(set.content_slots(RuleId(0)), &[0, 1]);
+        assert_eq!(set.content_slots(RuleId(1)), &[0]);
+        assert_eq!(set.content_slots(RuleId(2)), &[2, 1]);
     }
 
     #[test]

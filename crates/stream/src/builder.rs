@@ -30,7 +30,7 @@ use crate::group::GroupedEngineSet;
 use crate::pipeline::{PipelineConfig, PipelineScanner};
 use crate::shard::ShardedScanner;
 use crate::stream::SharedMatcher;
-use crate::worker::{plain_mode, rule_parts, WorkerMode};
+use crate::worker::{plain_mode, rule_mode, WorkerMode};
 use mpm_patterns::rule::RuleSet;
 use mpm_patterns::PatternSet;
 use std::sync::Arc;
@@ -231,14 +231,15 @@ impl ScannerBuilder {
     }
 
     /// Scan every flow in monolithic **rule mode**: `engine` (compiled for
-    /// `set.anchors()`) finds anchors, and rules are confirmed per flow
-    /// with positional constraints across packet boundaries.
+    /// `set.content_set()`) finds every rule content in one pass per
+    /// packet, and rules are confirmed per flow with positional
+    /// constraints across packet boundaries.
     ///
     /// # Panics
-    /// Panics if a source was already set, or the engine/anchor-set
+    /// Panics if a source was already set, or the engine/content set
     /// disagree about the longest pattern.
     pub fn rules(mut self, engine: SharedMatcher, set: &RuleSet) -> Self {
-        self.set_source(plain_mode(engine, set.anchors(), Some(rule_parts(set))));
+        self.set_source(rule_mode(engine, set));
         self
     }
 
@@ -292,9 +293,9 @@ impl ScannerBuilder {
         self
     }
 
-    /// Caps the rule-confirmation payload buffer of each flow at `bytes`
-    /// (per selected group in grouped mode). Flows that exceed the cap
-    /// degrade to anchor-only reporting — see
+    /// Caps rule confirmation of each flow at its first `bytes` bytes: the
+    /// flow's occurrence index keeps only occurrences ending there. Flows
+    /// that exceed the cap degrade to anchor-only reporting — see
     /// [`crate::RuleStreamScanner::with_max_buffer`] for the exact
     /// contract, and [`crate::PipelineStats::degraded_flows`] /
     /// [`crate::PipelineStats::truncated_bytes`] for the observability.

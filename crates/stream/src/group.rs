@@ -1,42 +1,37 @@
 //! Grouped scanning: one engine per port group, per-flow group selection.
 //!
-//! [`GroupedEngineSet`] compiles one anchor engine + rule confirmer per
-//! group of a [`GroupedRuleSet`], all referencing one shared
-//! [`PatternArena`] so the per-group verification tables do not multiply
-//! pattern storage (see `mpm_patterns::arena`). [`GroupedFlowScanner`] is
-//! the per-flow state: minted with the flow's [`FlowTuple`], it streams the
-//! flow's payload through only the groups
-//! [`GroupedRuleSet::groups_for`] selects, re-checks exact header
-//! applicability before reporting, and deduplicates rules confirmed by more
-//! than one selected group — which together make grouped scanning report
-//! **exactly** the rules a monolithic scan filtered post-hoc to the flow's
-//! applicable rules would report (property-tested in
-//! `tests/grouped_differential.rs`).
+//! [`GroupedEngineSet`] compiles, per group of a [`GroupedRuleSet`], one
+//! engine over the group's distinct rule contents
+//! ([`RuleSet::content_set`]) plus a [`RuleConfirmer`] over the group's
+//! local rules. All engines reference one shared [`PatternArena`], so the
+//! per-group verification tables do not multiply pattern storage (see
+//! `mpm_patterns::arena`). Keeping each group's content set small is what
+//! keeps its filters selective (Susik et al., "Multiple pattern matching
+//! revisited"). [`GroupedFlowScanner`] is the per-flow state: minted with
+//! the flow's [`FlowTuple`], it streams the flow's payload through only
+//! the groups [`GroupedRuleSet::groups_for`] selects, making one engine
+//! pass per group and packet that both fires anchors and fills the group's
+//! per-flow occurrence index (see [`RuleStreamScanner`]). There is no
+//! whole-flow payload buffer. It then maps group-local rule ids to global
+//! ones, re-checks exact header applicability before reporting, and
+//! deduplicates rules confirmed by more than one selected group. Together
+//! these make grouped scanning report **exactly** the rules a monolithic
+//! scan filtered post-hoc to the flow's applicable rules would report
+//! (property-tested in `tests/grouped_differential.rs`).
 //!
-//! Cross-group deduplication, on two levels:
-//!
-//! - **Verifier entries**: all groups share **one** [`RuleConfirmer`] built
-//!   over the monolithic rule set. Per-group confirmers would each carry
-//!   their own unique-content automaton — measured at ~30× the engine
-//!   tables on realistic rulesets, the dominant term of the grouped memory
-//!   blow-up — even though the contents they index overlap almost entirely
-//!   across groups. The shared confirmer dedups every `(bytes, nocase)`
-//!   content globally; per-flow scanners translate group-local rule
-//!   indices to monolithic ids at confirmation time.
-//! - **Engines**: groups whose local rule lists are structurally identical
-//!   (same contents, modifiers and protocol group, in the same order —
-//!   Snort `sid`s may differ) share one compiled engine via `Arc`, so N
-//!   lookup keys pointing at the same rules cost one set of tables.
-//!
-//! [`GroupedEngineSet::memory_footprint`] counts each unique engine once,
-//! the shared confirmer once, and the shared arena exactly once.
+//! Groups whose local rule lists are structurally identical (same
+//! contents, modifiers and protocol group, in the same order; Snort `sid`s
+//! may differ) share one compiled engine and confirmer via `Arc`, so N
+//! lookup keys pointing at the same rules cost one set of tables.
+//! [`GroupedEngineSet::memory_footprint`] counts each unique engine and
+//! confirmer once, and the shared arena exactly once.
 
 use crate::rules::RuleStreamScanner;
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::FlowTuple;
-use mpm_patterns::rule::{RuleMatch, RuleSet};
-use mpm_patterns::{MatchEvent, MemoryFootprint, PatternArena, PatternSet};
+use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
+use mpm_patterns::{MemoryFootprint, PatternArena, PatternSet};
 use mpm_verify::RuleConfirmer;
 use std::sync::Arc;
 
@@ -44,11 +39,12 @@ use std::sync::Arc;
 /// the group (and, via identical-group deduplication, by every group with
 /// the same rules).
 struct GroupEngine {
+    /// Compiled for the group's content set.
     engine: SharedMatcher,
-    /// Anchor pattern index → group-local rule index.
-    rule_of: Arc<[u32]>,
-    /// Anchor pattern lengths (the streaming carry needs them).
+    /// Content lengths per slot (the streaming carry needs them).
     lengths: Arc<[u32]>,
+    /// Confirms the group's local rules.
+    confirmer: Arc<RuleConfirmer>,
 }
 
 impl GroupEngine {
@@ -56,24 +52,19 @@ impl GroupEngine {
     where
         F: Fn(&PatternSet, &PatternArena) -> SharedMatcher,
     {
-        let anchors = set.anchors();
-        let lengths: Arc<[u32]> = anchors.patterns().iter().map(|p| p.len() as u32).collect();
-        let engine = build(anchors, arena);
+        let contents = set.content_set();
+        let lengths: Arc<[u32]> = contents.patterns().iter().map(|p| p.len() as u32).collect();
+        let engine = build(contents, arena);
         let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
         assert_eq!(
             engine.max_pattern_len(),
             max_len,
-            "group engine was compiled for a different anchor set"
+            "group engine was compiled for a different content set"
         );
         GroupEngine {
             engine,
-            // Invariant: group anchor sets come from `RuleSet::anchors()`,
-            // which always attaches one rule binding per anchor pattern.
-            rule_of: anchors
-                .rule_bindings()
-                .expect("RuleSet::anchors is always rule-bound")
-                .into(),
             lengths,
+            confirmer: Arc::new(RuleConfirmer::build(set)),
         }
     }
 }
@@ -113,7 +104,7 @@ fn rules_signature(set: &RuleSet) -> u64 {
 }
 
 /// All compiled engines of a [`GroupedRuleSet`], plus the shared pattern
-/// arena — the immutable, `Arc`-shared compile product that
+/// arena: the immutable, `Arc`-shared compile product that
 /// [`crate::ScannerBuilder::groups`]-built workers and
 /// [`GroupedFlowScanner`]s hang off.
 pub struct GroupedEngineSet {
@@ -121,13 +112,8 @@ pub struct GroupedEngineSet {
     /// Index-parallel to `grouped.groups()`; structurally identical groups
     /// share one `Arc`.
     engines: Vec<Arc<GroupEngine>>,
-    /// The ONE confirmer, built over the monolithic rule set and shared by
-    /// every group (see the module docs: per-group confirmers are the
-    /// dominant memory blow-up, and their contents overlap almost
-    /// entirely).
-    confirmer: Arc<RuleConfirmer>,
-    /// Per group, the local→monolithic rule id map handed to per-flow
-    /// scanners (index-parallel to `engines`).
+    /// Per group, the local→global rule id map (index-parallel to
+    /// `engines`).
     global_ids: Vec<Arc<[u32]>>,
     arena_bytes: usize,
     unique_engines: usize,
@@ -144,9 +130,10 @@ impl std::fmt::Debug for GroupedEngineSet {
 }
 
 impl GroupedEngineSet {
-    /// Compiles one engine per group with `build` (e.g.
-    /// `|set, arena| Arc::from(mpm_vpatch::build_auto_with_arena(set, arena))`
-    /// — `mpm-stream` does not depend on the engine crates, so the caller
+    /// Compiles one engine per group with `build`, called with the group's
+    /// [`RuleSet::content_set`] (e.g.
+    /// `|set, arena| Arc::from(mpm_vpatch::build_auto_with_arena(set, arena))`;
+    /// `mpm-stream` does not depend on the engine crates, so the caller
     /// supplies the compiler; the umbrella crate's `build_grouped_engines`
     /// wraps exactly that). The shared [`PatternArena`] is built first from
     /// every content of every rule, so each group's tables reference it by
@@ -179,7 +166,6 @@ impl GroupedEngineSet {
                 }
             });
         }
-        let confirmer = Arc::new(RuleConfirmer::build(grouped.monolithic()));
         let global_ids = grouped
             .groups()
             .iter()
@@ -190,7 +176,6 @@ impl GroupedEngineSet {
         GroupedEngineSet {
             grouped: Arc::new(grouped),
             engines,
-            confirmer,
             global_ids,
             arena_bytes: arena.len(),
             unique_engines,
@@ -220,11 +205,11 @@ impl GroupedEngineSet {
 
     /// Total resident bytes of the grouped compile product, honestly
     /// accounted (the CI memory-budget gauge): each unique engine's
-    /// [`mpm_patterns::Matcher::memory_footprint`] counted once — shared
-    /// engines are not double-charged — the **one** shared confirmer
-    /// counted once, plus the shared arena's bytes exactly once
-    /// (attributed to `verify_bytes`, since the verification tables are
-    /// what read it). Confirmer and id-map bytes land in `other_bytes`.
+    /// [`mpm_patterns::Matcher::memory_footprint`] and confirmer counted
+    /// once (shared engines are not double-charged), plus the shared
+    /// arena's bytes exactly once (attributed to `verify_bytes`, since the
+    /// verification tables are what read it). Confirmer and id-map bytes
+    /// land in `other_bytes`.
     pub fn memory_footprint(&self) -> MemoryFootprint {
         let mut total = MemoryFootprint::default();
         let mut seen: Vec<*const GroupEngine> = Vec::with_capacity(self.engines.len());
@@ -238,9 +223,8 @@ impl GroupedEngineSet {
             total.filter_bytes += fp.filter_bytes;
             total.verify_bytes += fp.verify_bytes;
             total.other_bytes +=
-                fp.other_bytes + engine.rule_of.len() * 4 + engine.lengths.len() * 4;
+                fp.other_bytes + engine.lengths.len() * 4 + engine.confirmer.heap_bytes();
         }
-        total.other_bytes += self.confirmer.heap_bytes();
         total.other_bytes += self
             .global_ids
             .iter()
@@ -273,13 +257,11 @@ pub struct GroupedFlowScanner {
     set: Arc<GroupedEngineSet>,
     tuple: Option<FlowTuple>,
     /// One scanner per selected group, in [`GroupedRuleSet::groups_for`]
-    /// order (deterministic). Each reports monolithic rule ids directly
-    /// (its `confirm_ids` map translates group-local indices).
-    scanners: Vec<RuleStreamScanner>,
+    /// order (deterministic), with the group's local→global rule id map.
+    scanners: Vec<(RuleStreamScanner, Arc<[u32]>)>,
     /// Global rule ids already reported for this flow (a rule can be a
     /// member of several selected groups; it is reported once).
     confirmed: Vec<bool>,
-    anchors_scratch: Vec<MatchEvent>,
     rules_scratch: Vec<RuleMatch>,
 }
 
@@ -294,16 +276,16 @@ impl std::fmt::Debug for GroupedFlowScanner {
 
 impl GroupedFlowScanner {
     /// Mints the per-flow state: group selection happens here, once per
-    /// flow, from its tuple. The confirmation buffers are unbounded (use
-    /// [`GroupedFlowScanner::with_max_buffer`] to cap them).
+    /// flow, from its tuple. Confirmation covers the whole flow (use
+    /// [`GroupedFlowScanner::with_max_buffer`] to cap it).
     pub fn new(set: Arc<GroupedEngineSet>, tuple: Option<FlowTuple>) -> Self {
         Self::with_max_buffer(set, tuple, None)
     }
 
-    /// Like [`GroupedFlowScanner::new`], but caps each selected group's
-    /// confirmation buffer at `max_buffer` bytes (the cap is per group:
-    /// every group buffers the same flow prefix independently). Over the
-    /// cap each group degrades to anchor-only reporting, exactly as
+    /// Like [`GroupedFlowScanner::new`], but caps confirmation at the
+    /// flow's first `max_buffer` bytes: each selected group's occurrence
+    /// index keeps only occurrences ending there. Over the cap each group
+    /// degrades to anchor-only reporting, exactly as
     /// [`RuleStreamScanner::with_max_buffer`] specifies.
     pub fn with_max_buffer(
         set: Arc<GroupedEngineSet>,
@@ -320,13 +302,9 @@ impl GroupedFlowScanner {
                 let parts = &set.engines[i];
                 let inner =
                     StreamScanner::with_lengths(parts.engine.clone(), parts.lengths.clone());
-                RuleStreamScanner::with_parts(
-                    inner,
-                    set.confirmer.clone(),
-                    parts.rule_of.clone(),
-                    Some(set.global_ids[i].clone()),
-                    max_buffer,
-                )
+                let scanner =
+                    RuleStreamScanner::with_parts(inner, parts.confirmer.clone(), max_buffer);
+                (scanner, set.global_ids[i].clone())
             })
             .collect();
         let confirmed = vec![false; set.grouped.len()];
@@ -335,7 +313,6 @@ impl GroupedFlowScanner {
             tuple,
             scanners,
             confirmed,
-            anchors_scratch: Vec::new(),
             rules_scratch: Vec::new(),
         }
     }
@@ -350,44 +327,48 @@ impl GroupedFlowScanner {
         self.scanners.len()
     }
 
-    /// Total bytes buffered for confirmation across the selected groups.
+    /// Stream bytes covered by rule confirmation, counted once per flow
+    /// (every selected group covers the same prefix).
     pub fn buffered_bytes(&self) -> u64 {
+        self.per_flow(|s| s.buffered_bytes() as u64)
+    }
+
+    /// True once the flow exceeded the cap and fell back to anchor-only
+    /// reporting. (All groups of one flow see the same byte stream and
+    /// share one cap, so they degrade on the same push.)
+    pub fn degraded(&self) -> bool {
+        self.scanners.iter().any(|(s, _)| s.degraded())
+    }
+
+    /// Payload bytes never eligible for confirmation, counted once per
+    /// flow (every selected group truncates the same bytes).
+    pub fn truncated_bytes(&self) -> u64 {
+        self.per_flow(|s| s.truncated_bytes())
+    }
+
+    /// A per-group figure that is the same for every selected group,
+    /// reported once (zero when no group is selected).
+    fn per_flow(&self, figure: impl Fn(&RuleStreamScanner) -> u64) -> u64 {
         self.scanners
             .iter()
-            .map(|s| s.buffered_bytes() as u64)
-            .sum()
-    }
-
-    /// True once any selected group's buffer exceeded the cap and fell
-    /// back to anchor-only reporting. (All groups of one flow see the same
-    /// byte stream and share one cap, so in practice they degrade on the
-    /// same push.)
-    pub fn degraded(&self) -> bool {
-        self.scanners.iter().any(|s| s.degraded())
-    }
-
-    /// Total payload bytes never eligible for confirmation, summed across
-    /// the selected groups.
-    pub fn truncated_bytes(&self) -> u64 {
-        self.scanners.iter().map(|s| s.truncated_bytes()).sum()
+            .map(|(s, _)| figure(s))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Streams the next payload chunk through every selected group,
-    /// appending newly confirmed rules as **global** rule ids — each rule
+    /// appending newly confirmed rules as **global** rule ids, each rule
     /// at most once per flow, only if its header exactly applies to the
     /// flow's tuple ([`GroupedRuleSet::applies_to`]; unfiltered when the
     /// tuple is unknown), with [`RuleMatch::end`] the minimal satisfiable
     /// prefix of the flow stream (chunking-independent, exactly as
     /// [`RuleStreamScanner::push`] guarantees per group).
     pub fn push(&mut self, chunk: &[u8], rules_out: &mut Vec<RuleMatch>) {
-        for scanner in &mut self.scanners {
-            self.anchors_scratch.clear();
+        for (scanner, global_ids) in &mut self.scanners {
             self.rules_scratch.clear();
-            scanner.push(chunk, &mut self.anchors_scratch, &mut self.rules_scratch);
+            scanner.scan(chunk, None, &mut self.rules_scratch);
             for m in &self.rules_scratch {
-                // `m.rule` is already the monolithic id (the scanner's
-                // `confirm_ids` map translated it).
-                let global = m.rule;
+                let global = RuleId(global_ids[m.rule.index()]);
                 if self.confirmed[global.index()] {
                     continue;
                 }
@@ -407,7 +388,6 @@ impl GroupedFlowScanner {
 mod tests {
     use super::*;
     use mpm_patterns::ports::Proto;
-    use mpm_patterns::rule::RuleId;
     use mpm_patterns::snort::{parse_grouped, ParseOptions};
     use mpm_patterns::NaiveMatcher;
 
@@ -525,10 +505,9 @@ alert tcp any any -> any 1003 (content:"same-needle"; sid:300;)
         // verification tables (and one arena).
         assert_eq!(fp3.filter_bytes, fp1.filter_bytes);
         assert_eq!(fp3.verify_bytes, fp1.verify_bytes);
-        // What does scale with group count is only the confirmer chains
-        // and the per-group id maps — the shared unique-content automaton
-        // is built once, so the total stays far below 3× the single-group
-        // cost.
+        // What does scale with group count is only the per-group id maps:
+        // the shared engine carries the one confirmer, so the total stays
+        // far below 3× the single-group cost.
         assert!(fp3.other_bytes > fp1.other_bytes);
         assert!(fp3.total() < 2 * fp1.total());
     }

@@ -59,9 +59,9 @@
 //!   time and then sheds. Shedding loses payload bytes by design — an
 //!   overloaded IDS that sheds predictably beats one that stalls its
 //!   capture loop.
-//! * **Bounded rule buffers** — [`crate::ScannerBuilder::max_flow_buffer`]
-//!   caps each flow's rule-confirmation payload buffer; over the cap a
-//!   flow degrades to anchor-only reporting
+//! * **Bounded rule state** — [`crate::ScannerBuilder::max_flow_buffer`]
+//!   caps the stream prefix each flow's occurrence index covers; over the
+//!   cap a flow degrades to anchor-only reporting
 //!   ([`crate::RuleStreamScanner::with_max_buffer`] has the exact
 //!   contract), with [`PipelineStats::degraded_flows`],
 //!   [`PipelineStats::truncated_bytes`] and the
@@ -78,7 +78,7 @@ use crate::group::GroupedEngineSet;
 use crate::ring::{self, Consumer, Producer, PushError};
 use crate::shard::{FlowMatch, FlowRuleMatch, Packet};
 use crate::stream::SharedMatcher;
-use crate::worker::{mix64, plain_mode, rule_parts, FlowScanner, WorkerMode};
+use crate::worker::{mix64, plain_mode, rule_mode, FlowScanner, WorkerMode};
 use mpm_patterns::rule::{RuleMatch, RuleSet};
 use mpm_patterns::stats::{LatencyHistogram, LatencySummary};
 use mpm_patterns::{MatchEvent, MatcherStats, PatternSet};
@@ -135,7 +135,8 @@ struct FlushReport {
     evicted: u64,
     resident_flows: usize,
     old_epoch_flows: usize,
-    /// Gauge: rule-payload bytes buffered across resident flows at flush.
+    /// Gauge: stream bytes covered by rule confirmation across resident
+    /// flows at flush.
     buffered_bytes: u64,
     /// Gauge: resident flows currently degraded (over the buffer cap).
     degraded_flows: u64,
@@ -196,7 +197,7 @@ pub struct WorkerRestart {
 
 /// A flow quarantined by a worker death (see
 /// [`PipelineStats::flow_errors`]): its stream state — carry bytes, rule
-/// progress, buffered payload — died with the worker, so its results are
+/// progress, occurrence index — died with the worker, so its results are
 /// incomplete. Packets of the flow still queued on the dead worker are
 /// dropped (a fresh mid-stream scanner would report wrong offsets);
 /// packets arriving after the respawn start a fresh stream at offset 0.
@@ -206,7 +207,7 @@ pub struct FlowError {
     pub flow: u64,
     /// The worker the flow was resident on when it died.
     pub worker: usize,
-    /// Rule-payload bytes that were buffered for the flow at death.
+    /// Stream bytes rule confirmation covered for the flow at death.
     pub buffered_bytes: u64,
 }
 
@@ -276,9 +277,10 @@ pub struct PipelineStats {
     /// Flows still scanning under a pre-swap ruleset (they drain
     /// gracefully; see the module docs on hot-swap).
     pub old_epoch_flows: usize,
-    /// Gauge: rule-confirmation payload bytes buffered across all resident
-    /// flows at drain time — the memory the
-    /// [`crate::ScannerBuilder::max_flow_buffer`] cap bounds.
+    /// Gauge: stream bytes covered by rule confirmation across all
+    /// resident flows at drain time, counted once per flow: the prefix the
+    /// [`crate::ScannerBuilder::max_flow_buffer`] cap bounds. No payload is
+    /// buffered; each flow holds an occurrence index instead.
     pub buffered_bytes: u64,
     /// Gauge: resident flows that exceeded the buffer cap and degraded to
     /// anchor-only reporting.
@@ -701,10 +703,10 @@ impl PipelineScanner {
     }
 
     /// Hot-swaps to a monolithic rule engine (`engine` compiled for
-    /// `set.anchors()`, validated here on the caller's thread). Returns the
-    /// new epoch.
+    /// `set.content_set()`, validated here on the caller's thread). Returns
+    /// the new epoch.
     pub fn swap_rules(&mut self, engine: SharedMatcher, set: &RuleSet) -> u64 {
-        self.swap(plain_mode(engine, set.anchors(), Some(rule_parts(set))))
+        self.swap(rule_mode(engine, set))
     }
 
     /// Hot-swaps to a port-grouped engine set (built off-thread by the

@@ -1,15 +1,24 @@
 //! [`RuleStreamScanner`]: rule confirmation over a chunked stream.
 //!
-//! The pattern layer ([`StreamScanner`]) only needs `max_pattern_len - 1`
-//! bytes of history, because a pattern occurrence spans at most
-//! `max_pattern_len` bytes. Rules are different: `offset`/`distance`
-//! windows are unbounded (a rule may pair a content at offset 0 with one a
-//! megabyte later), so confirmation is a function of the **whole flow
-//! payload seen so far**. `RuleStreamScanner` therefore buffers the flow's
-//! payload, while still running the anchor engine incrementally through the
-//! inner [`StreamScanner`] (carry bytes only) so the per-chunk fast path
-//! stays cheap: confirmation work happens only on pushes where an anchor
-//! fires or a rule is already pending.
+//! Rules are not bounded-width patterns: `offset`/`distance` windows are
+//! unbounded (a rule may pair a content at offset 0 with one a megabyte
+//! later), so confirmation depends on the **whole flow so far**. It does
+//! not need the flow's bytes, though, only where each rule content
+//! occurred. `RuleStreamScanner` therefore keeps no payload buffer. Its
+//! engine is compiled for the rule set's distinct contents
+//! ([`RuleSet::content_set`]), and the one [`StreamScanner`] pass each
+//! push makes (carry bytes only, exactly as in pattern mode) serves twice:
+//!
+//! - its anchor-content hits make rules **pending**;
+//! - all of its hits are appended to the flow's [`OccurrenceIndex`].
+//!
+//! A pending rule is re-checked with the confirmer's chain DP over index
+//! slices, and only on a push that added an occurrence of one of its
+//! contents. Satisfiability depends only on the set of occurrences, so no
+//! other push can complete a rule. The cost of a push is therefore
+//! independent of flow length: a rule whose second content never arrives
+//! is checked once, not once per packet
+//! ([`RuleStreamScanner::confirm_checks`] counts the checks).
 //!
 //! Equivalence guarantee (property-tested in
 //! `tests/rule_confirmation_differential.rs` and
@@ -17,52 +26,42 @@
 //! set of confirmed rules and their reported offsets equals
 //! `RuleScanner::scan_rules` on the concatenated payload. That holds
 //! because the confirmer reports the **minimal prefix length** at which a
-//! rule is satisfiable — a pure function of the payload bytes, independent
-//! of where chunk seams fall — and satisfiability is monotone in the
-//! prefix, so re-checking a pending rule on each push confirms it on
-//! exactly the push whose chunk completes that minimal prefix.
+//! rule is satisfiable, a pure function of the occurrences that is
+//! independent of where chunk seams fall, and satisfiability is monotone in
+//! the prefix, so a rule confirms on exactly the push whose chunk completes
+//! that minimal prefix.
 //!
-//! # Memory contract: bounded buffers and graceful degradation
+//! # Memory contract: bounded index and graceful degradation
 //!
-//! The whole-payload buffer makes an unbounded flow a memory-exhaustion
-//! vector: one adversarial elephant flow grows its buffer without limit.
-//! [`RuleStreamScanner::with_max_buffer`] caps the buffer at `cap` bytes.
-//! While the stream fits the cap, behaviour is byte-identical to the
-//! unbounded scanner. On the push that would exceed the cap the flow
+//! Per-flow memory is the occurrence index, which grows with the number of
+//! content occurrences in the flow (see
+//! [`RuleStreamScanner::index_bytes`]), plus the list of pending rules.
+//! [`RuleStreamScanner::with_max_buffer`] bounds it by a prefix of the
+//! stream: the index keeps only occurrences that end within the first
+//! `cap` bytes. While the stream fits the cap, behaviour is identical to
+//! the unbounded scanner. On the push that crosses the cap the flow
 //! **degrades**: rules satisfiable within the first `cap` bytes are
 //! confirmed one final time (confirmation over a capped flow is exactly
 //! `scan_rules` on the first `cap` bytes of the stream, independent of
-//! chunk seams), then the buffer is released, confirmation is disabled for
+//! chunk seams), then the index is released, confirmation is disabled for
 //! the rest of the flow, and the scanner keeps reporting **anchor hits
-//! only** over the engine's sliding carry window.
-//! [`RuleStreamScanner::degraded`] flags the transition and
-//! [`RuleStreamScanner::truncated_bytes`] counts every payload byte that
-//! was never eligible for confirmation.
+//! only**. [`RuleStreamScanner::buffered_bytes`] reports the stream bytes
+//! the index covers, [`RuleStreamScanner::degraded`] flags the transition
+//! and [`RuleStreamScanner::truncated_bytes`] counts every payload byte
+//! that was never eligible for confirmation.
 
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
-use mpm_patterns::{MatchEvent, MatcherStats};
-use mpm_verify::RuleConfirmer;
+use mpm_patterns::{MatchEvent, MatcherStats, PatternId};
+use mpm_verify::{OccurrenceIndex, RuleConfirmer};
 use std::sync::Arc;
-
-/// Per-rule confirmation progress within one flow.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum RuleState {
-    /// No anchor hit yet; the rule cannot match (anchor gating is exact).
-    Unseen,
-    /// Anchor fired, but the remaining contents/constraints are not yet
-    /// satisfiable on the payload so far — re-checked on every later push.
-    Pending,
-    /// Confirmed and reported; never re-reported for this flow.
-    Confirmed,
-}
 
 /// Stateful rule scanning over one logical stream (one flow).
 ///
-/// Wraps a [`StreamScanner`] over the rule set's anchor patterns and a
+/// Wraps a [`StreamScanner`] over the rule set's content set and a
 /// [`RuleConfirmer`]; both the engine and the confirmer are shared
-/// (`Arc`), so per-flow cost is the buffered payload plus a byte of state
-/// per rule.
+/// (`Arc`), so per-flow cost is the occurrence index plus the pending-rule
+/// list.
 ///
 /// ```
 /// use mpm_patterns::rule::{Rule, RuleContent, RuleSet};
@@ -78,7 +77,7 @@ enum RuleState {
 ///     ],
 /// )]);
 /// let engine: mpm_stream::SharedMatcher =
-///     Arc::from(mpm_patterns::NaiveMatcher::new(set.anchors()));
+///     Arc::from(mpm_patterns::NaiveMatcher::new(set.content_set()));
 /// let mut scanner = RuleStreamScanner::new(engine, &set);
 ///
 /// let (mut anchors, mut rules) = (Vec::new(), Vec::new());
@@ -91,21 +90,12 @@ enum RuleState {
 pub struct RuleStreamScanner {
     inner: StreamScanner,
     confirmer: Arc<RuleConfirmer>,
-    /// Pattern index → rule index for the anchor set.
-    rule_of: Arc<[u32]>,
-    /// When the confirmer covers a *superset* of this scanner's rules (the
-    /// grouped path shares one confirmer across every port group), maps the
-    /// scanner-local rule index to the confirmer's rule id; `None` means
-    /// the identity (the confirmer was built for exactly these rules).
-    /// Confirmed rules are reported under the **mapped** id.
-    confirm_ids: Option<Arc<[u32]>>,
-    /// The flow's payload so far (see module docs for why rules need it).
-    payload: Vec<u8>,
-    state: Vec<RuleState>,
-    /// Rules in [`RuleState::Pending`], re-checked each push.
+    /// Content occurrences of the stream so far (within the cap).
+    index: OccurrenceIndex,
+    /// Rules whose anchor occurred but which are not yet satisfiable.
     pending: Vec<u32>,
-    /// Buffer cap in bytes; `None` means unbounded (the historical
-    /// behaviour). See the module-level memory contract.
+    /// Confirmation covers only the first `max_buffer` stream bytes;
+    /// `None` means the whole stream. See the module-level memory contract.
     max_buffer: Option<usize>,
     /// True once the flow exceeded `max_buffer` and fell back to
     /// anchor-only reporting.
@@ -113,15 +103,21 @@ pub struct RuleStreamScanner {
     /// Payload bytes that were never eligible for confirmation (everything
     /// past the first `max_buffer` bytes of the stream).
     truncated: u64,
+    /// Chain-DP re-checks run on this stream.
+    checks: u64,
+    /// Per-push content hits of the engine.
+    events: Vec<MatchEvent>,
+    /// Per-push slots that gained an occurrence, ascending.
+    touched: Vec<u32>,
 }
 
 impl std::fmt::Debug for RuleStreamScanner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RuleStreamScanner")
             .field("inner", &self.inner)
-            .field("rules", &self.state.len())
+            .field("rules", &self.confirmer.rule_count())
             .field("pending", &self.pending.len())
-            .field("buffered_bytes", &self.payload.len())
+            .field("occurrences", &self.index.occurrence_count())
             .field("degraded", &self.degraded)
             .finish_non_exhaustive()
     }
@@ -130,62 +126,42 @@ impl std::fmt::Debug for RuleStreamScanner {
 impl RuleStreamScanner {
     /// Creates a rule scanner for one stream.
     ///
-    /// `engine` must be compiled for `set.anchors()` (same contract as
+    /// `engine` must be compiled for `set.content_set()` (same contract as
     /// [`StreamScanner::new`], which this delegates to).
     ///
     /// # Panics
-    /// Panics if the engine disagrees with the anchor set about the longest
-    /// pattern.
+    /// Panics if the engine disagrees with the content set about the
+    /// longest pattern.
     pub fn new(engine: SharedMatcher, set: &RuleSet) -> Self {
-        let inner = StreamScanner::new(engine, set.anchors());
-        // Invariant: `RuleSet::anchors()` builds its `PatternSet` with one
-        // binding per anchor, so `rule_bindings()` is always `Some` here.
-        let rule_of: Arc<[u32]> = set
-            .anchors()
-            .rule_bindings()
-            .expect("RuleSet::anchors is always rule-bound")
-            .into();
-        Self::with_parts(
-            inner,
-            Arc::new(RuleConfirmer::build(set)),
-            rule_of,
-            None,
-            None,
-        )
+        let inner = StreamScanner::new(engine, set.content_set());
+        Self::with_parts(inner, Arc::new(RuleConfirmer::build(set)), None)
     }
 
-    /// Internal constructor used by `ShardedScanner` and the grouped path
-    /// to mint per-flow scanners from shared, pre-built parts.
-    /// `confirm_ids` translates scanner-local rule indices to the
-    /// confirmer's ids when the confirmer is shared across groups.
+    /// Internal constructor used by the worker and grouped paths to mint
+    /// per-flow scanners from shared, pre-built parts.
     pub(crate) fn with_parts(
         inner: StreamScanner,
         confirmer: Arc<RuleConfirmer>,
-        rule_of: Arc<[u32]>,
-        confirm_ids: Option<Arc<[u32]>>,
         max_buffer: Option<usize>,
     ) -> Self {
-        let rules = match &confirm_ids {
-            Some(ids) => ids.len(),
-            None => confirmer.rule_count(),
-        };
         RuleStreamScanner {
             inner,
             confirmer,
-            rule_of,
-            confirm_ids,
-            payload: Vec::new(),
-            state: vec![RuleState::Unseen; rules],
+            index: OccurrenceIndex::new(),
             pending: Vec::new(),
             max_buffer,
             degraded: false,
             truncated: 0,
+            checks: 0,
+            events: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
-    /// Caps the confirmation buffer at `bytes`; over the cap the flow
-    /// degrades to anchor-only reporting (see the module-level memory
-    /// contract). A cap of zero degrades on the first non-empty push.
+    /// Caps confirmation at the first `bytes` bytes of the stream; past
+    /// the cap the flow degrades to anchor-only reporting (see the
+    /// module-level memory contract). A cap of zero degrades on the first
+    /// non-empty push.
     #[must_use]
     pub fn with_max_buffer(mut self, bytes: usize) -> Self {
         self.max_buffer = Some(bytes);
@@ -197,31 +173,49 @@ impl RuleStreamScanner {
         self.inner.position()
     }
 
-    /// Bytes of flow payload currently buffered for confirmation (the whole
-    /// stream so far, or zero once the flow degraded — see the module docs
-    /// for the memory contract).
+    /// Stream bytes the occurrence index covers: the whole stream so far
+    /// (never more than the cap), or zero once the flow degraded and
+    /// released its index. No payload is buffered; the index's own memory
+    /// is [`Self::index_bytes`].
     pub fn buffered_bytes(&self) -> usize {
-        self.payload.len()
+        if self.degraded {
+            0
+        } else {
+            self.inner.position()
+        }
     }
 
-    /// The configured buffer cap, if any.
+    /// Heap bytes of the flow's occurrence index and pending-rule list.
+    /// Grows with the number of content occurrences, not with flow length.
+    pub fn index_bytes(&self) -> usize {
+        self.index.heap_bytes() + self.pending.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// The configured cap, if any.
     pub fn max_buffer(&self) -> Option<usize> {
         self.max_buffer
     }
 
-    /// True once the flow exceeded the buffer cap and fell back to
-    /// anchor-only reporting (confirmation disabled, buffer released).
+    /// True once the flow exceeded the cap and fell back to anchor-only
+    /// reporting (confirmation disabled, index released).
     pub fn degraded(&self) -> bool {
         self.degraded
     }
 
-    /// Payload bytes past the first `max_buffer` bytes of the stream —
+    /// Payload bytes past the first `max_buffer` bytes of the stream:
     /// scanned for anchors but never eligible for rule confirmation.
     pub fn truncated_bytes(&self) -> u64 {
         self.truncated
     }
 
-    /// Accumulated whole-stream statistics of the anchor engine.
+    /// Number of chain-DP re-checks run on this stream so far. A pending
+    /// rule is re-checked only on a push that indexed an occurrence of one
+    /// of its contents, so this count does not grow with flow length.
+    pub fn confirm_checks(&self) -> u64 {
+        self.checks
+    }
+
+    /// Accumulated whole-stream statistics of the content engine.
     pub fn stats(&self) -> MatcherStats {
         self.inner.stats()
     }
@@ -235,86 +229,109 @@ impl RuleStreamScanner {
     /// and allocated buffers.
     pub fn reset(&mut self) {
         self.inner.reset();
-        self.payload.clear();
-        self.state.fill(RuleState::Unseen);
+        self.index.clear();
         self.pending.clear();
         self.degraded = false;
         self.truncated = 0;
+        self.checks = 0;
     }
 
     /// Scans the next chunk: anchor-pattern hits are appended to
-    /// `anchors_out` (absolute offsets, exactly as [`StreamScanner::push`]
-    /// reports them) and newly confirmed rules to `rules_out`, each rule at
-    /// most once per stream, with [`RuleMatch::end`] the minimal prefix
-    /// length of the stream at which the rule became satisfiable.
+    /// `anchors_out` (absolute offsets, one event per rule anchored on the
+    /// hit content, with the rule index as [`MatchEvent::pattern`]:
+    /// exactly what an engine over `set.anchors()` reports) and newly
+    /// confirmed rules to `rules_out`, each rule at most once per stream,
+    /// with [`RuleMatch::end`] the minimal prefix length of the stream at
+    /// which the rule became satisfiable.
     pub fn push(
         &mut self,
         chunk: &[u8],
         anchors_out: &mut Vec<MatchEvent>,
         rules_out: &mut Vec<RuleMatch>,
     ) {
+        self.scan(chunk, Some(anchors_out), rules_out);
+    }
+
+    /// [`Self::push`] with anchor reporting optional (the grouped path
+    /// reports confirmed rules only).
+    pub(crate) fn scan(
+        &mut self,
+        chunk: &[u8],
+        anchors_out: Option<&mut Vec<MatchEvent>>,
+        rules_out: &mut Vec<RuleMatch>,
+    ) {
         if chunk.is_empty() {
             return;
         }
+        let start = self.inner.position();
+        self.events.clear();
+        self.inner.push(chunk, &mut self.events);
+        if let Some(out) = anchors_out {
+            for e in &self.events {
+                for &rule in self.confirmer.anchored_at(e.pattern.0) {
+                    out.push(MatchEvent::new(e.start, PatternId(rule)));
+                }
+            }
+        }
         if self.degraded {
-            // Anchor-only fallback: the engine's carry window keeps anchor
-            // reporting exact; confirmation state is frozen.
+            // Anchor-only fallback: confirmation state is gone.
             self.truncated += chunk.len() as u64;
-            self.inner.push(chunk, anchors_out);
             return;
         }
-        // Does this push take the stream past the buffer cap? If so, only
-        // the prefix that still fits is eligible for confirmation; the rest
-        // of the chunk is anchor-scanned but truncated.
-        let crossing = self
+        // Only occurrences ending within the cap are indexed, so on the
+        // push that crosses it the checks below see exactly the first
+        // `cap` bytes of the stream, wherever the chunk seams fall.
+        let end_of_push = start + chunk.len();
+        let limit = self
             .max_buffer
-            .is_some_and(|cap| self.payload.len() + chunk.len() > cap);
-        let take = if crossing {
-            self.max_buffer
-                .unwrap_or(0)
-                .saturating_sub(self.payload.len())
-        } else {
-            chunk.len()
-        };
-        self.payload.extend_from_slice(&chunk[..take]);
-        let first_new = anchors_out.len();
-        self.inner.push(chunk, anchors_out);
-        for event in &anchors_out[first_new..] {
-            let rule = self.rule_of[event.pattern.index()] as usize;
-            if self.state[rule] == RuleState::Unseen {
-                self.state[rule] = RuleState::Pending;
-                self.pending.push(rule as u32);
+            .map_or(end_of_push, |cap| cap.min(end_of_push));
+        // Per slot, every new end exceeds every indexed one (the inner
+        // scanner reports each occurrence on the push that completes it),
+        // so sorting this push's hits by slot keeps the index sorted.
+        self.events.sort_unstable_by_key(|e| (e.pattern, e.start));
+        self.touched.clear();
+        for e in &self.events {
+            let slot = e.pattern.0;
+            let end = e.start + self.inner.pattern_len(e.pattern);
+            if end > limit {
+                continue;
+            }
+            if self.index.insert(slot, end as u64) {
+                // First occurrence of this content: the rules it anchors
+                // become pending (an anchor fires once per rule and flow).
+                self.pending
+                    .extend_from_slice(self.confirmer.anchored_at(slot));
+            }
+            if self.touched.last() != Some(&slot) {
+                self.touched.push(slot);
             }
         }
-        // On the crossing push this final re-check runs against exactly the
-        // first `cap` bytes of the stream, so a capped flow confirms the
-        // same rules as `scan_rules` on that prefix regardless of where the
-        // chunk seams fall. (Anchors past the cap may have marked rules
-        // pending above; their contents are absent from the capped payload,
-        // so they cannot confirm, and pending state is cleared below.)
-        let (confirmer, payload, state) = (&self.confirmer, &self.payload, &mut self.state);
-        let confirm_ids = self.confirm_ids.as_deref();
-        self.pending.retain(|&rule| {
-            let id = match confirm_ids {
-                Some(ids) => RuleId(ids[rule as usize]),
-                None => RuleId(rule),
-            };
-            match confirmer.confirm(payload, id) {
-                Some(end) => {
-                    state[rule as usize] = RuleState::Confirmed;
-                    rules_out.push(RuleMatch::new(id, end));
-                    false
+        if !self.touched.is_empty() {
+            let (confirmer, index, touched) = (&self.confirmer, &self.index, &self.touched);
+            let checks = &mut self.checks;
+            self.pending.retain(|&rule| {
+                let id = RuleId(rule);
+                let slots = confirmer.rules().content_slots(id);
+                if !slots.iter().any(|s| touched.binary_search(s).is_ok()) {
+                    return true;
                 }
-                None => true,
-            }
-        });
-        if crossing {
-            self.truncated += (chunk.len() - take) as u64;
-            self.pending.clear();
+                *checks += 1;
+                match confirmer.confirm(index, id) {
+                    Some(end) => {
+                        rules_out.push(RuleMatch::new(id, end));
+                        false
+                    }
+                    None => true,
+                }
+            });
+        }
+        if end_of_push > limit {
+            self.truncated += (end_of_push - limit) as u64;
             self.degraded = true;
-            // Release (not just clear) the buffer: the cap exists to bound
+            // Release (not just clear) the state: the cap exists to bound
             // memory, and this flow will never confirm again.
-            self.payload = Vec::new();
+            self.index = OccurrenceIndex::new();
+            self.pending = Vec::new();
         }
     }
 
@@ -343,7 +360,7 @@ mod tests {
     }
 
     fn scanner(set: &RuleSet) -> RuleStreamScanner {
-        RuleStreamScanner::new(Arc::new(NaiveMatcher::new(set.anchors())), set)
+        RuleStreamScanner::new(Arc::new(NaiveMatcher::new(set.content_set())), set)
     }
 
     #[test]
@@ -464,5 +481,56 @@ mod tests {
         assert_eq!(s.buffered_bytes(), 0);
         s.push(b"cd", &mut anchors, &mut rules);
         assert!(rules.is_empty(), "old stream's anchor must not linger");
+    }
+
+    #[test]
+    fn pending_rule_checks_do_not_grow_with_flow_length() {
+        // The anchor fires in the first packet; the second content never
+        // arrives. Re-checking on every push would make the check count
+        // (and the work) grow with the flow.
+        let set = ruleset(vec![vec![
+            RuleContent::new(*b"attack-begin"),
+            RuleContent::new(*b"never-seen").with_distance(0),
+        ]]);
+        let run = |flow_len: usize| {
+            let mut s = scanner(&set);
+            let mut payload = vec![b'.'; flow_len];
+            payload[100..112].copy_from_slice(b"attack-begin");
+            let (mut anchors, mut rules) = (Vec::new(), Vec::new());
+            for packet in payload.chunks(1460) {
+                s.push(packet, &mut anchors, &mut rules);
+            }
+            assert!(rules.is_empty());
+            assert_eq!(anchors.len(), 1);
+            (s.confirm_checks(), s.index_bytes())
+        };
+        let (short_checks, short_bytes) = run(1 << 20);
+        let (long_checks, long_bytes) = run(8 << 20);
+        assert_eq!(short_checks, 1, "checked once, on the anchor's push");
+        assert_eq!(long_checks, short_checks);
+        assert_eq!(long_bytes, short_bytes, "per-flow memory is flat too");
+    }
+
+    #[test]
+    fn anchor_events_name_every_rule_anchored_on_the_content() {
+        // Two rules share the anchor "shared"; one "shared" hit reports one
+        // anchor event per rule, as an engine over `anchors()` would.
+        let set = ruleset(vec![
+            vec![RuleContent::new(*b"shared")],
+            vec![
+                RuleContent::new(*b"shared"),
+                RuleContent::new(*b"zz").with_distance(0),
+            ],
+        ]);
+        let (mut anchors, rules) = scanner(&set).push_collect(b"..shared..");
+        anchors.sort_unstable();
+        assert_eq!(
+            anchors,
+            vec![
+                MatchEvent::new(2, PatternId(0)),
+                MatchEvent::new(2, PatternId(1))
+            ]
+        );
+        assert_eq!(rules, vec![RuleMatch::new(RuleId(0), 8)]);
     }
 }

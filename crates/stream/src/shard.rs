@@ -121,8 +121,8 @@ pub struct BatchResult {
     /// time. With a [`crate::ScannerBuilder::max_flows`] cap this never
     /// exceeds the cap (rounded up to a whole number of flows per worker).
     pub resident_flows: usize,
-    /// Total bytes of rule-confirmation payload buffered across all
-    /// resident flows at flush time — the gauge the
+    /// Stream bytes covered by rule confirmation across all resident
+    /// flows at flush time, once per flow: the gauge the
     /// [`crate::ScannerBuilder::max_flow_buffer`] cap bounds. Zero in
     /// pattern-only mode.
     pub buffered_bytes: u64,
@@ -449,7 +449,7 @@ mod tests {
 
     fn rules_barrier(set: &RuleSet, workers: usize) -> ScannerBuilder {
         ScannerBuilder::new()
-            .rules(Arc::new(NaiveMatcher::new(set.anchors())), set)
+            .rules(Arc::new(NaiveMatcher::new(set.content_set())), set)
             .workers(workers)
     }
 

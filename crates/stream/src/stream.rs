@@ -21,7 +21,7 @@
 //! pattern — the union of the events reported by the pushes equals the match
 //! set of a one-shot scan of the whole input.
 
-use mpm_patterns::{MatchEvent, Matcher, MatcherStats, PatternSet};
+use mpm_patterns::{MatchEvent, Matcher, MatcherStats, PatternId, PatternSet};
 use std::sync::Arc;
 
 /// A shareable, `Send + Sync` matching engine, as produced by
@@ -116,6 +116,11 @@ impl StreamScanner {
             position: 0,
             stats: MatcherStats::default(),
         }
+    }
+
+    /// Length of pattern `id` of the set the engine was compiled for.
+    pub(crate) fn pattern_len(&self, id: PatternId) -> usize {
+        self.lengths[id.index()] as usize
     }
 
     /// Absolute offset of the next byte to be pushed (= total bytes pushed).

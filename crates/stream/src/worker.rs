@@ -3,7 +3,7 @@
 //!
 //! [`WorkerMode`] is the read-only, `Arc`-shared bundle a worker thread is
 //! handed at spawn (and, in the pipeline, at hot-swap): the engine(s), the
-//! anchor lengths, and the rule-confirmation parts. [`FlowScanner`] is the
+//! pattern lengths, and the rule-confirmation parts. [`FlowScanner`] is the
 //! per-flow state machine minted from it — plain streaming, anchors + rule
 //! confirmation, or port-grouped confirmation. The batch-oriented
 //! [`crate::ShardedScanner`] and the continuously-running
@@ -20,19 +20,19 @@ use mpm_verify::RuleConfirmer;
 use std::sync::Arc;
 
 /// Shared, pre-built rule-mode parts handed to every worker: one confirmer
-/// and one anchor→rule mapping serve all flows on all threads.
+/// serves all flows on all threads.
 #[derive(Clone)]
 pub(crate) struct RuleParts {
     pub(crate) confirmer: Arc<RuleConfirmer>,
-    pub(crate) rule_of: Arc<[u32]>,
 }
 
 /// What every worker thread scans with — the shared, read-only compile
 /// product its per-flow scanners are minted from.
 #[derive(Clone)]
 pub(crate) enum WorkerMode {
-    /// One engine for every flow: pattern-only, or (with `rules`) anchor +
-    /// rule confirmation over one monolithic rule set.
+    /// One engine for every flow: pattern-only, or (with `rules`, the
+    /// engine compiled for the rule set's content set) rule confirmation
+    /// over one monolithic rule set.
     Plain {
         engine: SharedMatcher,
         lengths: Arc<[u32]>,
@@ -65,16 +65,13 @@ pub(crate) fn plain_mode(
     }
 }
 
-/// Builds the shared rule-mode parts once, on the caller's thread.
-pub(crate) fn rule_parts(set: &RuleSet) -> RuleParts {
-    RuleParts {
+/// Builds the rule-mode [`WorkerMode`] (`engine` compiled for
+/// `set.content_set()`) once, on the caller's thread.
+pub(crate) fn rule_mode(engine: SharedMatcher, set: &RuleSet) -> WorkerMode {
+    let parts = RuleParts {
         confirmer: Arc::new(RuleConfirmer::build(set)),
-        rule_of: set
-            .anchors()
-            .rule_bindings()
-            .expect("RuleSet::anchors is always rule-bound")
-            .into(),
-    }
+    };
+    plain_mode(engine, set.content_set(), Some(parts))
 }
 
 /// SplitMix64 finalizer: decorrelates adjacent flow ids (sequential ids are
@@ -97,9 +94,9 @@ pub(crate) enum FlowScanner {
 impl FlowScanner {
     /// Mints a flow's scanner from the worker's shared mode. `tuple` is the
     /// flow's first packet's tuple; only grouped mode consults it (this is
-    /// where per-flow group selection happens). `max_buffer` caps each
-    /// rule-confirmation buffer (per group in grouped mode); plain mode has
-    /// no flow buffer and ignores it.
+    /// where per-flow group selection happens). `max_buffer` caps rule
+    /// confirmation at the flow's first `max_buffer` bytes; plain mode has
+    /// no rule state and ignores it.
     pub(crate) fn mint(
         mode: &WorkerMode,
         tuple: Option<FlowTuple>,
@@ -116,8 +113,6 @@ impl FlowScanner {
                     Some(parts) => FlowScanner::Rules(RuleStreamScanner::with_parts(
                         inner,
                         parts.confirmer.clone(),
-                        parts.rule_of.clone(),
-                        None,
                         max_buffer,
                     )),
                     None => FlowScanner::Plain(inner),
@@ -129,8 +124,8 @@ impl FlowScanner {
         }
     }
 
-    /// Bytes buffered for rule confirmation (zero for pattern-only flows
-    /// and for degraded flows, whose buffers are released).
+    /// Stream bytes covered by rule confirmation (zero for pattern-only
+    /// flows and for degraded flows, whose indexes are released).
     pub(crate) fn buffered_bytes(&self) -> u64 {
         match self {
             FlowScanner::Plain(_) => 0,
@@ -139,8 +134,8 @@ impl FlowScanner {
         }
     }
 
-    /// True once any of the flow's rule buffers exceeded the cap and the
-    /// flow fell back to anchor-only reporting.
+    /// True once the flow exceeded the cap and fell back to anchor-only
+    /// reporting.
     pub(crate) fn degraded(&self) -> bool {
         match self {
             FlowScanner::Plain(_) => false,

@@ -241,7 +241,7 @@ fn buffer_capped_flows_degrade_with_exact_counters() {
         ),
         Rule::new(ProtocolGroup::Any, vec![RuleContent::new(*b"passwd")]),
     ]);
-    let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.anchors()));
+    let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.content_set()));
     let mut pipeline = ScannerBuilder::new()
         .rules(engine, &set)
         .workers(1)

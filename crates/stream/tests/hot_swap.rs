@@ -41,8 +41,8 @@ const END_BRAVO: usize = 16;
 fn build(workers: usize) -> (PipelineScanner, SharedMatcher, RuleSet) {
     let set_a = single_rule_set(*b"alpha");
     let set_b = single_rule_set(*b"bravo");
-    let engine_a: SharedMatcher = Arc::new(NaiveMatcher::new(set_a.anchors()));
-    let engine_b: SharedMatcher = Arc::new(NaiveMatcher::new(set_b.anchors()));
+    let engine_a: SharedMatcher = Arc::new(NaiveMatcher::new(set_a.content_set()));
+    let engine_b: SharedMatcher = Arc::new(NaiveMatcher::new(set_b.content_set()));
     let pipeline = ScannerBuilder::new()
         .rules(engine_a, &set_a)
         .workers(workers)
@@ -139,8 +139,8 @@ fn swapped_in_ruleset_governs_flows_that_outlive_several_epochs() {
     // even though all three receive both needles.
     let set_a = single_rule_set(*b"alpha");
     let set_b = single_rule_set(*b"bravo");
-    let engine_a: SharedMatcher = Arc::new(NaiveMatcher::new(set_a.anchors()));
-    let engine_b: SharedMatcher = Arc::new(NaiveMatcher::new(set_b.anchors()));
+    let engine_a: SharedMatcher = Arc::new(NaiveMatcher::new(set_a.content_set()));
+    let engine_b: SharedMatcher = Arc::new(NaiveMatcher::new(set_b.content_set()));
     let mut pipeline = ScannerBuilder::new()
         .rules(engine_a.clone(), &set_a)
         .workers(2)

@@ -105,7 +105,7 @@ fn rules_fixture() -> RuleSet {
 #[test]
 fn rule_mode_pipeline_equals_barrier() {
     let set = rules_fixture();
-    let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.anchors()));
+    let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.content_set()));
     let packets: Vec<Packet> = (0..40u64)
         .flat_map(|f| {
             vec![
@@ -394,7 +394,7 @@ fn evicting_a_degraded_flow_releases_its_state() {
         ProtocolGroup::Any,
         vec![RuleContent::new(*b"pass")],
     )]);
-    let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.anchors()));
+    let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.content_set()));
     let mut pipeline = ScannerBuilder::new()
         .rules(engine, &set)
         .workers(1)
@@ -442,4 +442,37 @@ fn close_flow_retires_stream_state_in_flight() {
     );
     assert_eq!(stats.matches[0].event.start, 3);
     assert_eq!(stats.resident_flows, 1);
+}
+
+#[test]
+fn capped_grouped_flow_counts_truncated_bytes_once() {
+    // A tcp/80 flow selects two groups (dst:80 and the ip catch-all); the
+    // bytes past the cap are one flow's bytes, counted once.
+    let engines = grouped_engines();
+    let tuple = FlowTuple::new(Proto::Tcp, 40000, 80);
+    let mut payload = b"GET /admin ".to_vec();
+    payload.extend_from_slice(&[b'.'; 100]);
+    let cap = 32;
+    let mut pipeline = ScannerBuilder::new()
+        .groups(engines.clone())
+        .workers(1)
+        .max_flow_buffer(cap)
+        .build()
+        .expect("valid build");
+    for packet in payload.chunks(20) {
+        pipeline.dispatch(Packet::new_with_tuple(1, packet.to_vec(), tuple));
+    }
+    let stats = pipeline.drain().expect("workers alive");
+    assert_eq!(
+        engines.grouped().groups_for(tuple).len(),
+        2,
+        "fixture: the flow selects two groups"
+    );
+    assert_eq!(stats.truncated_bytes, (payload.len() - cap) as u64);
+    assert_eq!(stats.degraded_flows, 1);
+    assert_eq!(
+        stats.rule_matches.len(),
+        1,
+        "GET /admin lies within the cap"
+    );
 }

@@ -22,23 +22,23 @@ fn ruleset(rules: Vec<Vec<RuleContent>>) -> RuleSet {
     )
 }
 
-/// Anchor engines spanning the engine families, plus every backend this
-/// run can dispatch to (`MPM_FORCE_BACKEND` narrows the list).
+/// Content-set engines spanning the engine families, plus every backend
+/// this run can dispatch to (`MPM_FORCE_BACKEND` narrows the list).
 fn engines(set: &RuleSet) -> Vec<SharedMatcher> {
-    let anchors = set.anchors();
+    let contents = set.content_set();
     let mut engines: Vec<SharedMatcher> = vec![
-        Arc::new(NaiveMatcher::new(anchors)),
-        Arc::from(SPatch::build(anchors)),
-        Arc::from(VPatch::<ScalarBackend, 8>::build(anchors)),
+        Arc::new(NaiveMatcher::new(contents)),
+        Arc::from(SPatch::build(contents)),
+        Arc::from(VPatch::<ScalarBackend, 8>::build(contents)),
     ];
     for kind in mpm_simd::available_backends() {
         match kind {
             BackendKind::Scalar => {}
             BackendKind::Avx2 => {
-                engines.push(Arc::from(VPatch::<Avx2Backend, 8>::build(anchors)));
+                engines.push(Arc::from(VPatch::<Avx2Backend, 8>::build(contents)));
             }
             BackendKind::Avx512 => {
-                engines.push(Arc::from(VPatch::<Avx512Backend, 16>::build(anchors)));
+                engines.push(Arc::from(VPatch::<Avx512Backend, 16>::build(contents)));
             }
         }
     }
@@ -100,6 +100,29 @@ fn every_cut_point_confirms_the_same_rules() {
     }
 }
 
+/// The content engine as a deployment builds it, through
+/// `mpm_vpatch::build_for` on every backend this run can dispatch to: the
+/// one V-PATCH pass per push must index every content occurrence exactly,
+/// wherever the seam falls.
+#[test]
+fn build_for_every_backend_confirms_every_cut() {
+    let (set, payload) = seam_fixture();
+    let expected = naive_rule_find_all(&set, &payload);
+    for kind in mpm_simd::available_backends() {
+        let engine: SharedMatcher = Arc::from(
+            mpm_vpatch::build_for(set.content_set(), kind).expect("available backend builds"),
+        );
+        for cut in 0..=payload.len() {
+            let mut scanner = RuleStreamScanner::new(engine.clone(), &set);
+            let (mut anchors, mut rules) = (Vec::new(), Vec::new());
+            scanner.push(&payload[..cut], &mut anchors, &mut rules);
+            scanner.push(&payload[cut..], &mut anchors, &mut rules);
+            rules.sort_unstable();
+            assert_eq!(rules, expected, "{kind:?}: cut at {cut} diverged");
+        }
+    }
+}
+
 /// 1-byte chunks: the most seams a stream can have.
 #[test]
 fn one_byte_chunks_confirm_the_same_rules() {
@@ -156,7 +179,7 @@ fn sharded_rule_confirmation_survives_every_packet_seam() {
         .into_iter()
         .map(|m| (5u64, m.rule, m.end))
         .collect();
-    let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.anchors()));
+    let engine: SharedMatcher = Arc::new(NaiveMatcher::new(set.content_set()));
     for cut in 0..=payload.len() {
         for workers in [1usize, 4] {
             let mut scanner = ScannerBuilder::new()

@@ -1,111 +1,88 @@
-//! Rule confirmation: from anchor hits to confirmed multi-content rules.
+//! Rule confirmation: from content occurrences to confirmed multi-content
+//! rules.
 //!
-//! The engines' multi-pattern matchers search only each rule's **anchor**
-//! content ([`mpm_patterns::rule::RuleSet::anchors`]). When an anchor fires,
-//! [`RuleConfirmer`] decides whether the *whole rule* matches — every
-//! content present, every `offset`/`depth`/`distance`/`within` constraint
-//! satisfiable — and at which offset, riding the same batched
-//! `eq_window`/`eq_window_nocase` backend primitives as the PR 5 verifier so
-//! confirmation stays on the SIMD path.
+//! A rule is an ordered list of contents with `offset`/`depth`/`distance`/
+//! `within` constraints. Confirmation splits into an approximate pass and
+//! an exact check, in the style of Češka et al.'s prefilter-plus-exact
+//! design:
 //!
-//! # Algorithm
-//!
-//! Confirmation of one rule against one payload runs in two steps, inside a
-//! single [`VectorBackend::dispatch`] region:
-//!
-//! 1. **Occurrence enumeration** — for each content, scan the absolute
-//!    window its `offset`/`depth` allow and record every occurrence
-//!    (first-byte prescreen, then one `eq_window[_nocase]` vector compare
-//!    per surviving position). Any content with zero occurrences refutes
-//!    the rule immediately.
-//! 2. **Chain DP** — over contents in rule order, compute for every
-//!    occurrence the minimal achievable *maximum occurrence end* of any
-//!    constraint-satisfying assignment ending there: the relative
+//! 1. **Occurrence index.** One multi-pattern pass over the rule set's
+//!    distinct contents ([`RuleSet::content_set`]) records every
+//!    occurrence end per content slot in an [`OccurrenceIndex`]. In
+//!    `mpm-stream` that pass is the SIMD engine the flow is scanned with
+//!    anyway, fed one packet at a time; [`RuleScanner`] fills the index
+//!    with a scalar Aho-Corasick pass over a whole payload.
+//! 2. **Chain DP.** [`RuleConfirmer::confirm`] slices each content's
+//!    absolute `offset`/`depth` window out of its sorted occurrence list
+//!    (two binary searches) and, over contents in rule order, computes for
+//!    every occurrence the minimal achievable *maximum occurrence end* of
+//!    any constraint-satisfying assignment ending there. The relative
 //!    constraints couple only adjacent contents through the previous
 //!    occurrence's end, so
 //!    `g_i(j) = max(end_j, min over feasible k of g_{i-1}(k))`.
 //!    The rule is satisfiable iff some `g` survives, and `min g` is the
-//!    **minimal prefix length at which the rule matches** — the offset
+//!    **minimal prefix length at which the rule matches**, the offset
 //!    reported in [`RuleMatch::end`].
 //!
-//! That minimum is a pure function of the payload bytes: it never depends
-//! on chunking, which is what lets `mpm-stream` report identical rule
-//! matches streamed and one-shot (property-tested in
+//! No payload bytes are read in step 2: satisfiability and the minimal end
+//! depend only on the set of occurrences. That minimum never depends on
+//! chunking, which is what lets `mpm-stream` report identical rule matches
+//! streamed and one-shot (property-tested in
 //! `tests/rule_confirmation_differential.rs` against the naive evaluator in
-//! `mpm_patterns::rule`, which uses a deliberately different algorithm —
+//! `mpm_patterns::rule`, which uses a deliberately different algorithm:
 //! memoized recursion plus binary search).
 //!
-//! Gating confirmation on anchor hits loses nothing: a satisfying
-//! assignment contains a real anchor occurrence, and the anchor MPM is
-//! exact, so "rule satisfiable" implies "anchor reported".
-//!
-//! # Amortizing confirmation: the payload index
-//!
-//! Step 1 above re-scans the payload once per content *per triggered rule*.
-//! That is the right shape for streaming (per-flow payloads are small and
-//! few rules are pending at once), but on a monolithic trace where hundreds
-//! of anchors fire it degenerates to `O(rules × payload)`. For that case
-//! [`RuleConfirmer::index_payload`] enumerates every occurrence of every
-//! *distinct* content in **one** Aho-Corasick pass and
-//! [`RuleConfirmer::confirm_indexed`] replaces step 1 with two binary
-//! searches per content (slicing the absolute `offset`/`depth` window out
-//! of the sorted occurrence list); step 2 is unchanged.
-//! [`RuleScanner::scan_rules`] takes this path whenever any rule triggers.
+//! Confirmation is gated on anchor hits ([`RuleConfirmer::anchored_at`]
+//! maps a content slot to the rules it anchors). Gating loses nothing: a
+//! satisfying assignment contains a real anchor occurrence, and the index
+//! is exact, so "rule satisfiable" implies "anchor indexed".
 
 use mpm_aho_corasick::NfaMatcher;
 use mpm_patterns::rule::{RuleContent, RuleId, RuleMatch, RuleSet};
-use mpm_patterns::{MatchEvent, Matcher, Pattern, PatternSet, ProtocolGroup};
-use mpm_simd::{Avx2Backend, Avx512Backend, BackendKind, ScalarBackend, VectorBackend};
-use std::collections::{BTreeSet, HashMap};
+use mpm_patterns::{MatchEvent, Matcher};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The rule-confirmation stage: compiled constraint chains for every rule
-/// of a [`RuleSet`], evaluated on demand when the rule's anchor fires.
+/// The rule-confirmation stage: the compiled constraint chains of every
+/// rule of a [`RuleSet`], evaluated on demand against an
+/// [`OccurrenceIndex`] when the rule's anchor fires.
 ///
-/// Stateless per payload (scratch is allocated per call); share one
-/// confirmer across threads via [`Arc`].
+/// Stateless per payload; share one confirmer across threads via [`Arc`].
 #[derive(Clone, Debug)]
 pub struct RuleConfirmer {
     rules: Arc<RuleSet>,
-    /// Per rule, the unique-content slot of each of its contents in order.
-    slots: Arc<Vec<Vec<u32>>>,
-    /// Content length in bytes per unique-content slot.
-    slot_len: Arc<Vec<u32>>,
-    /// Exact multi-pattern matcher over the distinct `(bytes, nocase)`
-    /// contents (one pattern per slot), backing [`Self::index_payload`].
-    contents: Arc<NfaMatcher>,
+    /// `anchored[anchored_start[s]..anchored_start[s + 1]]` lists the rules
+    /// whose anchor content is slot `s`.
+    anchored_start: Vec<u32>,
+    anchored: Vec<u32>,
 }
 
 impl RuleConfirmer {
-    /// Compiles the confirmation stage for `set`.
+    /// Compiles the confirmation stage for `set`. Its slots are the
+    /// pattern ids of [`RuleSet::content_set`].
     pub fn build(set: &RuleSet) -> Self {
-        let mut slot_of: HashMap<(Vec<u8>, bool), u32> = HashMap::new();
-        let mut patterns: Vec<Pattern> = Vec::new();
-        let mut slots: Vec<Vec<u32>> = Vec::with_capacity(set.len());
-        for rule in set.rules() {
-            slots.push(
-                rule.contents()
-                    .iter()
-                    .map(|content| {
-                        let key = (content.bytes().to_vec(), content.is_nocase());
-                        *slot_of.entry(key).or_insert_with(|| {
-                            patterns.push(
-                                Pattern::new(content.bytes().to_vec(), ProtocolGroup::Any)
-                                    .with_nocase(content.is_nocase()),
-                            );
-                            (patterns.len() - 1) as u32
-                        })
-                    })
-                    .collect(),
-            );
+        let anchor_slots: Vec<usize> = set
+            .iter()
+            .map(|(id, rule)| set.content_slots(id)[rule.anchor_index()] as usize)
+            .collect();
+        // Counting sort of rule ids by anchor slot.
+        let mut anchored_start = vec![0u32; set.content_set().len() + 1];
+        for &slot in &anchor_slots {
+            anchored_start[slot + 1] += 1;
         }
-        let slot_len = patterns.iter().map(|p| p.len() as u32).collect();
-        let contents = Arc::new(NfaMatcher::build(&PatternSet::new(patterns)));
+        for s in 1..anchored_start.len() {
+            anchored_start[s] += anchored_start[s - 1];
+        }
+        let mut fill = anchored_start.clone();
+        let mut anchored = vec![0u32; set.len()];
+        for (rule, &slot) in anchor_slots.iter().enumerate() {
+            anchored[fill[slot] as usize] = rule as u32;
+            fill[slot] += 1;
+        }
         RuleConfirmer {
             rules: Arc::new(set.clone()),
-            slots: Arc::new(slots),
-            slot_len: Arc::new(slot_len),
-            contents,
+            anchored_start,
+            anchored,
         }
     }
 
@@ -119,99 +96,31 @@ impl RuleConfirmer {
         &self.rules
     }
 
-    /// Confirms `rule` against `payload` on the best backend this process
-    /// dispatches to (honours `MPM_FORCE_BACKEND`). Returns the minimal
-    /// prefix length at which the rule is satisfiable, or `None`.
-    pub fn confirm(&self, payload: &[u8], rule: RuleId) -> Option<usize> {
-        match mpm_simd::detect_best() {
-            BackendKind::Scalar => self.confirm_with::<ScalarBackend, 8>(payload, rule),
-            BackendKind::Avx2 => self.confirm_with::<Avx2Backend, 8>(payload, rule),
-            BackendKind::Avx512 => self.confirm_with::<Avx512Backend, 16>(payload, rule),
-        }
+    /// The rules (ids, ascending) whose anchor content is `slot`.
+    pub fn anchored_at(&self, slot: u32) -> &[u32] {
+        let s = slot as usize;
+        &self.anchored[self.anchored_start[s] as usize..self.anchored_start[s + 1] as usize]
     }
 
-    /// [`RuleConfirmer::confirm`] monomorphized for one backend (the
-    /// engines' usual `B`/`W` shape, so tests can pin a backend directly).
-    pub fn confirm_with<B: VectorBackend<W>, const W: usize>(
-        &self,
-        payload: &[u8],
-        rule: RuleId,
-    ) -> Option<usize> {
+    /// Confirms `rule` against the occurrences in `index`. Returns the
+    /// minimal prefix length at which the rule is satisfiable, or `None`.
+    ///
+    /// Each content's occurrence list is cut to its absolute window
+    /// (`start >= offset`, and `end <= offset + depth` under `depth`) with
+    /// two binary searches; the chain DP then runs on those slices.
+    pub fn confirm(&self, index: &OccurrenceIndex, rule: RuleId) -> Option<usize> {
         let contents = self.rules.get(rule).contents();
-        B::dispatch(|| {
-            // Step 1: per-content occurrence ends within the absolute
-            // windows. Ends are u64 so the DP sentinel below cannot collide.
-            let mut lists: Vec<Vec<u64>> = Vec::with_capacity(contents.len());
-            for content in contents {
-                let mut ends = Vec::new();
-                if let Some((lo, hi)) = content.scan_range(payload.len()) {
-                    let bytes = content.bytes();
-                    let len = bytes.len();
-                    if content.is_nocase() {
-                        let first = bytes[0].to_ascii_lowercase();
-                        for start in lo..=hi {
-                            if payload[start].to_ascii_lowercase() == first
-                                && B::eq_window_nocase(&payload[start..start + len], bytes)
-                            {
-                                ends.push((start + len) as u64);
-                            }
-                        }
-                    } else {
-                        let first = bytes[0];
-                        for start in lo..=hi {
-                            if payload[start] == first
-                                && B::eq_window(&payload[start..start + len], bytes)
-                            {
-                                ends.push((start + len) as u64);
-                            }
-                        }
-                    }
-                }
-                if ends.is_empty() {
-                    return None;
-                }
-                lists.push(ends);
-            }
-
-            let slices: Vec<&[u64]> = lists.iter().map(|l| l.as_slice()).collect();
-            chain_dp(contents, &slices)
-        })
-    }
-
-    /// Enumerates every occurrence of every distinct rule content in one
-    /// Aho-Corasick pass over `payload`. The index amortizes confirmation
-    /// across many triggered rules: [`Self::confirm_indexed`] then needs no
-    /// byte compares at all, only binary searches into the sorted
-    /// occurrence lists.
-    pub fn index_payload(&self, payload: &[u8]) -> PayloadIndex {
-        let mut ends: Vec<Vec<u64>> = vec![Vec::new(); self.slot_len.len()];
-        // NfaMatcher emits events in increasing end order, so per-slot
-        // lists arrive sorted — the binary searches below rely on that.
-        for event in self.contents.find_all(payload) {
-            let slot = event.pattern.index();
-            ends[slot].push((event.start + self.slot_len[slot] as usize) as u64);
-        }
-        PayloadIndex {
-            ends,
-            payload_len: payload.len(),
-        }
-    }
-
-    /// [`Self::confirm`] against a prebuilt [`PayloadIndex`] of the same
-    /// payload: per-content occurrence lists become window slices of the
-    /// index (two binary searches each), then the identical chain DP runs.
-    pub fn confirm_indexed(&self, index: &PayloadIndex, rule: RuleId) -> Option<usize> {
-        let contents = self.rules.get(rule).contents();
-        let slots = &self.slots[rule.index()];
+        let slots = self.rules.content_slots(rule);
         let mut lists: Vec<&[u64]> = Vec::with_capacity(contents.len());
         for (content, &slot) in contents.iter().zip(slots) {
-            let (lo, hi) = content.scan_range(index.payload_len)?;
-            let all = index.ends[slot as usize].as_slice();
-            let len = content.len() as u64;
-            // Starts in [lo, hi] <=> ends in [lo + len, hi + len].
-            let from = all.partition_point(|&end| end < lo as u64 + len);
-            let to = all.partition_point(|&end| end <= hi as u64 + len);
-            if from == to {
+            let all = index.ends(slot);
+            let offset = content.offset() as u64;
+            let from = all.partition_point(|&end| end < offset + content.len() as u64);
+            let to = match content.depth() {
+                Some(depth) => all.partition_point(|&end| end <= offset + depth as u64),
+                None => all.len(),
+            };
+            if from >= to {
                 return None;
             }
             lists.push(&all[from..to]);
@@ -219,39 +128,101 @@ impl RuleConfirmer {
         chain_dp(contents, &lists)
     }
 
-    /// Heap bytes of the compiled rule chains, slot tables, and the
-    /// unique-content automaton behind [`Self::index_payload`].
+    /// Heap bytes of the compiled rule chains, their content-slot tables
+    /// and the anchor map.
     pub fn heap_bytes(&self) -> usize {
         let chains: usize = self.rules.rules().iter().map(|r| r.heap_bytes()).sum();
         let slots: usize = self
-            .slots
+            .rules
             .iter()
-            .map(|s| s.len() * std::mem::size_of::<u32>())
+            .map(|(id, _)| std::mem::size_of_val(self.rules.content_slots(id)))
             .sum();
-        chains + slots + self.contents.automaton().heap_bytes()
+        chains + slots + (self.anchored_start.len() + self.anchored.len()) * 4
     }
 }
 
-/// Per-payload occurrence index built by [`RuleConfirmer::index_payload`]:
-/// sorted occurrence ends per distinct rule content. Valid only for the
-/// exact payload it was built from.
-pub struct PayloadIndex {
-    /// Sorted occurrence ends (`start + len`) per unique-content slot.
-    ends: Vec<Vec<u64>>,
-    /// Length of the indexed payload (drives `offset`/`depth` windows).
-    payload_len: usize,
+/// Occurrence ends (`start + len`) per content slot, sorted, for one
+/// payload or one flow so far.
+///
+/// Only slots that occurred take space, so memory grows with the number of
+/// occurrences, not with the payload or the number of contents. Streaming
+/// callers append incrementally: every end they insert exceeds all ends
+/// already indexed for that slot, which keeps each list sorted without any
+/// re-sort.
+#[derive(Clone, Debug, Default)]
+pub struct OccurrenceIndex {
+    /// `(slot, ends)`, sorted by slot; `ends` is never empty.
+    lists: Vec<(u32, Vec<u64>)>,
 }
 
-impl PayloadIndex {
-    /// Total number of content occurrences recorded in the index.
+impl OccurrenceIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        OccurrenceIndex::default()
+    }
+
+    /// Fills an index from one scan of a whole payload by an engine
+    /// compiled for [`RuleSet::content_set`] (pattern id == slot).
+    /// `lengths` gives the content length per slot.
+    pub fn from_events(mut events: Vec<MatchEvent>, lengths: &[u32]) -> Self {
+        events.sort_unstable_by_key(|e| (e.pattern, e.start));
+        let mut index = OccurrenceIndex::new();
+        for e in events {
+            let slot = e.pattern.0;
+            index.insert(slot, (e.start + lengths[slot as usize] as usize) as u64);
+        }
+        index
+    }
+
+    /// Records an occurrence of `slot` ending at `end`, which must exceed
+    /// every end already indexed for `slot`. Returns true if it is the
+    /// slot's first occurrence.
+    pub fn insert(&mut self, slot: u32, end: u64) -> bool {
+        match self.lists.binary_search_by_key(&slot, |(s, _)| *s) {
+            Ok(i) => {
+                let ends = &mut self.lists[i].1;
+                debug_assert!(ends.last().is_some_and(|&last| last < end));
+                ends.push(end);
+                false
+            }
+            Err(i) => {
+                self.lists.insert(i, (slot, vec![end]));
+                true
+            }
+        }
+    }
+
+    /// The sorted occurrence ends of `slot` (empty if it never occurred).
+    pub fn ends(&self, slot: u32) -> &[u64] {
+        match self.lists.binary_search_by_key(&slot, |(s, _)| *s) {
+            Ok(i) => &self.lists[i].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// Total number of occurrences recorded.
     pub fn occurrence_count(&self) -> usize {
-        self.ends.iter().map(|e| e.len()).sum()
+        self.lists.iter().map(|(_, ends)| ends.len()).sum()
+    }
+
+    /// Heap bytes held by the index.
+    pub fn heap_bytes(&self) -> usize {
+        self.lists.capacity() * std::mem::size_of::<(u32, Vec<u64>)>()
+            + self
+                .lists
+                .iter()
+                .map(|(_, ends)| ends.capacity() * std::mem::size_of::<u64>())
+                .sum::<usize>()
+    }
+
+    /// Forgets every occurrence, keeping the allocation of the slot list.
+    pub fn clear(&mut self) {
+        self.lists.clear();
     }
 }
 
-/// Step 2 of confirmation (shared by the scanning and indexed paths): chain
-/// DP on the minimal achievable maximum occurrence end, over one sorted
-/// occurrence-end list per content. The first content's own relative
+/// Step 2 of confirmation: chain DP on the minimal achievable maximum
+/// occurrence end, over one sorted occurrence-end list per content. The first content's own relative
 /// constraints (legal in Snort: relative to payload start) are checked
 /// against `prev_end = 0`.
 fn chain_dp(contents: &[RuleContent], lists: &[&[u64]]) -> Option<usize> {
@@ -324,10 +295,17 @@ fn chain_dp(contents: &[RuleContent], lists: &[&[u64]]) -> Option<usize> {
 /// [`Matcher`] view); [`RuleScanner::scan_rules`] reports **confirmed
 /// rules**, each at most once per payload, at the minimal prefix length at
 /// which its constraints are satisfiable. For streaming and multi-core use
-/// see `mpm_stream::RuleStreamScanner` / `ScannerBuilder::rules`.
+/// see `mpm_stream::RuleStreamScanner` / `ScannerBuilder::rules`, where
+/// one engine over the content set does the anchor and index work in a
+/// single pass.
 pub struct RuleScanner {
     engine: Arc<dyn Matcher + Send + Sync>,
     confirmer: RuleConfirmer,
+    /// Exact matcher over [`RuleSet::content_set`] (pattern id == slot)
+    /// that fills the [`OccurrenceIndex`] once any anchor fires.
+    contents: NfaMatcher,
+    /// Content length per slot.
+    lengths: Vec<u32>,
     rule_of: Arc<[u32]>,
 }
 
@@ -354,9 +332,12 @@ impl RuleScanner {
             .rule_bindings()
             .expect("RuleSet::anchors is always rule-bound")
             .into();
+        let contents = set.content_set();
         RuleScanner {
             engine,
             confirmer: RuleConfirmer::build(set),
+            contents: NfaMatcher::build(contents),
+            lengths: contents.patterns().iter().map(|p| p.len() as u32).collect(),
             rule_of,
         }
     }
@@ -371,6 +352,15 @@ impl RuleScanner {
         &self.confirmer
     }
 
+    /// Heap bytes of everything this scanner adds to the wrapped engine:
+    /// the confirmer and the content automaton behind the occurrence
+    /// index.
+    pub fn heap_bytes(&self) -> usize {
+        self.confirmer.heap_bytes()
+            + self.contents.automaton().heap_bytes()
+            + self.lengths.len() * std::mem::size_of::<u32>()
+    }
+
     /// Anchor-pattern hits, exactly as the wrapped [`Matcher`] reports them.
     pub fn scan(&self, payload: &[u8]) -> Vec<MatchEvent> {
         self.engine.find_all(payload)
@@ -378,8 +368,8 @@ impl RuleScanner {
 
     /// Confirmed rules, in rule-id order, each at most once.
     ///
-    /// Confirmation is amortized through one [`RuleConfirmer::index_payload`]
-    /// pass shared by every triggered rule, so the cost of dense anchor
+    /// Every triggered rule is confirmed against one shared
+    /// [`OccurrenceIndex`] of the payload, so the cost of dense anchor
     /// traffic scales with the payload, not with `rules × payload`.
     pub fn scan_rules(&self, payload: &[u8]) -> Vec<RuleMatch> {
         let mut triggered: BTreeSet<u32> = BTreeSet::new();
@@ -389,13 +379,13 @@ impl RuleScanner {
         if triggered.is_empty() {
             return Vec::new();
         }
-        let index = self.confirmer.index_payload(payload);
+        let index = OccurrenceIndex::from_events(self.contents.find_all(payload), &self.lengths);
         triggered
             .into_iter()
             .filter_map(|rule| {
                 let id = RuleId(rule);
                 self.confirmer
-                    .confirm_indexed(&index, id)
+                    .confirm(&index, id)
                     .map(|end| RuleMatch::new(id, end))
             })
             .collect()
@@ -421,32 +411,31 @@ mod tests {
         RuleScanner::new(Arc::new(NaiveMatcher::new(set.anchors())), set)
     }
 
-    /// Asserts the confirmer agrees with the naive evaluator on every rule
-    /// of `set`, on every backend this machine dispatches to.
+    /// Indexes `payload` with the naive matcher over the content set: an
+    /// independent stand-in for the engine pass that fills the index.
+    fn naive_index(set: &RuleSet, payload: &[u8]) -> OccurrenceIndex {
+        let contents = set.content_set();
+        let lengths: Vec<u32> = contents.patterns().iter().map(|p| p.len() as u32).collect();
+        OccurrenceIndex::from_events(NaiveMatcher::new(contents).find_all(payload), &lengths)
+    }
+
+    /// Asserts the index path agrees with the naive evaluator on every rule
+    /// of `set`, and that the one-shot scanner reports exactly the naive
+    /// matches.
     fn assert_matches_naive(set: &RuleSet, payload: &[u8]) {
         let confirmer = RuleConfirmer::build(set);
-        let index = confirmer.index_payload(payload);
+        let index = naive_index(set, payload);
         for (id, rule) in set.iter() {
-            let expected = naive_rule_first_end(rule, payload);
             assert_eq!(
-                confirmer.confirm_with::<ScalarBackend, 8>(payload, id),
-                expected,
-                "scalar diverged on rule {id} over {payload:?}"
-            );
-            assert_eq!(
-                confirmer.confirm_indexed(&index, id),
-                expected,
+                confirmer.confirm(&index, id),
+                naive_rule_first_end(rule, payload),
                 "indexed confirmation diverged on rule {id} over {payload:?}"
             );
-            for kind in mpm_simd::available_backends() {
-                let got = match kind {
-                    BackendKind::Scalar => confirmer.confirm_with::<ScalarBackend, 8>(payload, id),
-                    BackendKind::Avx2 => confirmer.confirm_with::<Avx2Backend, 8>(payload, id),
-                    BackendKind::Avx512 => confirmer.confirm_with::<Avx512Backend, 16>(payload, id),
-                };
-                assert_eq!(got, expected, "{kind:?} diverged on rule {id}");
-            }
         }
+        assert_eq!(
+            scanner(set).scan_rules(payload),
+            naive_rule_find_all(set, payload)
+        );
     }
 
     #[test]
@@ -583,13 +572,48 @@ mod tests {
         ]);
         let confirmer = RuleConfirmer::build(&set);
         let payload = b"ab..AB..cd";
-        let index = confirmer.index_payload(payload);
+        let index = naive_index(&set, payload);
         // Slots: "ab" exact (1 occurrence), "cd" (1), "ab" nocase (2).
         assert_eq!(index.occurrence_count(), 4);
+        assert_eq!(index.ends(2), &[2, 6]);
         assert_matches_naive(&set, payload);
         // The offset:4 window excludes the only exact "ab" at start 0.
-        assert_eq!(confirmer.confirm_indexed(&index, RuleId(1)), None);
-        assert_eq!(confirmer.confirm_indexed(&index, RuleId(2)), Some(2));
+        assert_eq!(confirmer.confirm(&index, RuleId(1)), None);
+        assert_eq!(confirmer.confirm(&index, RuleId(2)), Some(2));
+    }
+
+    #[test]
+    fn anchor_map_lists_rules_per_anchor_slot() {
+        let set = ruleset(vec![
+            vec![RuleContent::new(*b"shared")],
+            vec![RuleContent::new(*b"x"), RuleContent::new(*b"shared")],
+            vec![RuleContent::new(*b"other")],
+        ]);
+        let confirmer = RuleConfirmer::build(&set);
+        let slot_of = |bytes: &[u8]| {
+            set.content_set()
+                .patterns()
+                .iter()
+                .position(|p| p.bytes() == bytes)
+                .unwrap() as u32
+        };
+        assert_eq!(confirmer.anchored_at(slot_of(b"shared")), &[0, 1]);
+        assert_eq!(confirmer.anchored_at(slot_of(b"x")), &[] as &[u32]);
+        assert_eq!(confirmer.anchored_at(slot_of(b"other")), &[2]);
+    }
+
+    #[test]
+    fn incremental_inserts_keep_each_slot_sorted() {
+        let mut index = OccurrenceIndex::new();
+        assert!(index.insert(7, 4));
+        assert!(index.insert(2, 5));
+        assert!(!index.insert(7, 9));
+        assert_eq!(index.ends(7), &[4, 9]);
+        assert_eq!(index.ends(2), &[5]);
+        assert_eq!(index.ends(3), &[] as &[u64]);
+        assert!(index.heap_bytes() > 0);
+        index.clear();
+        assert_eq!(index.occurrence_count(), 0);
     }
 
     #[test]

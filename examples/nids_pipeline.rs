@@ -163,7 +163,7 @@ alert tcp any any -> any 80 (msg:"upload probe"; content:"POST"; offset:0; depth
             .join(", ")
     );
 
-    let engine: SharedMatcher = Arc::from(build_auto(set.anchors()));
+    let engine: SharedMatcher = Arc::from(build_auto(set.content_set()));
     let mut scanner = ScannerBuilder::new()
         .rules(engine, &set)
         .workers(2)

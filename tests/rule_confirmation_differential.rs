@@ -12,9 +12,9 @@
 //! Both one-shot (`RuleScanner::scan_rules`) and streamed
 //! (`RuleStreamScanner` under random chunkings) paths must agree with the
 //! oracle exactly: same confirmed rules, same minimal satisfiable prefix
-//! lengths. `MPM_FORCE_BACKEND` pins the confirmation backend the same way
-//! it pins the engines, which is how the CI matrix drives this suite
-//! through the scalar, AVX2 and AVX-512 `eq_window` paths in turn.
+//! lengths. `MPM_FORCE_BACKEND` pins the V-PATCH backend of `build_auto`,
+//! which is how the CI matrix drives this suite through the scalar, AVX2
+//! and AVX-512 engines in turn.
 
 use std::sync::Arc;
 use vpatch_suite::patterns::rule::naive_rule_find_all;
@@ -118,20 +118,20 @@ fn splice(set: &RuleSet, payload: &mut [u8], plan: &[(usize, usize, usize)]) {
     }
 }
 
-/// Every engine family, compiled for the rule set's anchor patterns.
-/// `build_auto` resolves per `MPM_FORCE_BACKEND`, so the CI matrix runs
-/// each forced backend's V-PATCH (and confirmation path) in turn.
-fn anchor_engines(set: &RuleSet) -> Vec<SharedMatcher> {
-    let anchors = set.anchors();
+/// Every engine family, compiled for `patterns`: a rule set's anchors for
+/// the one-shot path, its content set for the streamed one. `build_auto`
+/// resolves per `MPM_FORCE_BACKEND`, so the CI matrix runs each forced
+/// backend's V-PATCH in turn.
+fn engines_for(patterns: &PatternSet) -> Vec<SharedMatcher> {
     vec![
-        Arc::new(NaiveMatcher::new(anchors)),
-        Arc::from(NfaMatcher::build(anchors)),
-        Arc::from(DfaMatcher::build(anchors)),
-        Arc::from(WuManber::build(anchors)),
-        Arc::from(Dfc::build(anchors)),
-        Arc::from(SPatch::build(anchors)),
-        Arc::from(VPatch::<ScalarBackend, 8>::build(anchors)),
-        Arc::from(build_auto(anchors)),
+        Arc::new(NaiveMatcher::new(patterns)),
+        Arc::from(NfaMatcher::build(patterns)),
+        Arc::from(DfaMatcher::build(patterns)),
+        Arc::from(WuManber::build(patterns)),
+        Arc::from(Dfc::build(patterns)),
+        Arc::from(SPatch::build(patterns)),
+        Arc::from(VPatch::<ScalarBackend, 8>::build(patterns)),
+        Arc::from(build_auto(patterns)),
     ]
 }
 
@@ -169,7 +169,7 @@ proptest! {
         let mut payload = payload;
         splice(&set, &mut payload, &plan);
         let expected = naive_rule_find_all(&set, &payload);
-        for engine in anchor_engines(&set) {
+        for engine in engines_for(set.anchors()) {
             let name = engine.name();
             let scanner = RuleScanner::new(engine, &set);
             prop_assert_eq!(
@@ -189,7 +189,7 @@ proptest! {
         let mut payload = payload;
         splice(&set, &mut payload, &plan);
         let expected = naive_rule_find_all(&set, &payload);
-        for engine in anchor_engines(&set) {
+        for engine in engines_for(set.content_set()) {
             let name = engine.name();
             let got = streamed_rules(engine, &set, &payload, &chunks);
             prop_assert_eq!(
@@ -210,7 +210,7 @@ proptest! {
         let mut payload = payload;
         splice(&set, &mut payload, &plan);
         let expected = naive_rule_find_all(&set, &payload);
-        let engine: SharedMatcher = Arc::from(build_auto(set.anchors()));
+        let engine: SharedMatcher = Arc::from(build_auto(set.content_set()));
         let mut scanner = ScannerBuilder::new()
             .rules(engine, &set)
             .workers(3)
@@ -253,9 +253,12 @@ fn get_etc_passwd_with_window_is_confirmed_everywhere() {
     let miss = b"GET /some/very/long/path/passwd";
     let expected = naive_rule_find_all(&set, hit);
     assert_eq!(expected.len(), 1);
-    for engine in anchor_engines(&set) {
-        let name = engine.name();
-        let scanner = RuleScanner::new(engine.clone(), &set);
+    for (anchor_engine, content_engine) in engines_for(set.anchors())
+        .into_iter()
+        .zip(engines_for(set.content_set()))
+    {
+        let name = anchor_engine.name();
+        let scanner = RuleScanner::new(anchor_engine, &set);
         assert_eq!(scanner.scan_rules(hit), expected, "{name} one-shot");
         assert!(
             scanner.scan_rules(miss).is_empty(),
@@ -263,7 +266,7 @@ fn get_etc_passwd_with_window_is_confirmed_everywhere() {
         );
         let plan = [1usize];
         assert_eq!(
-            streamed_rules(engine, &set, hit, &plan),
+            streamed_rules(content_engine, &set, hit, &plan),
             expected,
             "{name} streamed"
         );

@@ -128,7 +128,7 @@ fn multi_content_rules_confirm_end_to_end() {
     assert!(!scanner.scan(&payload).is_empty());
 
     // Streamed, with every rule's contents split across pushes.
-    let engine: SharedMatcher = std::sync::Arc::from(build_auto(set.anchors()));
+    let engine: SharedMatcher = std::sync::Arc::from(build_auto(set.content_set()));
     let mut streamed = RuleStreamScanner::new(engine, &set);
     let (mut anchors, mut rules) = (Vec::new(), Vec::new());
     for chunk in payload.chunks(7) {
@@ -138,7 +138,7 @@ fn multi_content_rules_confirm_end_to_end() {
     assert_eq!(rules, expected);
 
     // Sharded: one flow split mid-constraint-window, one clean flow.
-    let engine: SharedMatcher = std::sync::Arc::from(build_auto(set.anchors()));
+    let engine: SharedMatcher = std::sync::Arc::from(build_auto(set.content_set()));
     let mut sharded = ScannerBuilder::new()
         .rules(engine, &set)
         .workers(2)
