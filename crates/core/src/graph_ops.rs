@@ -8,11 +8,18 @@
 //! monomorphized kernels keep their historical signatures. The verify op
 //! reads the *other* bank, which is what lets the overlapped schedule run
 //! this chunk's filter while the previous chunk's candidates drain.
+//!
+//! `a_long` is the graph's carried slot: [`resume`] is the one scan path of
+//! both engines, and a streaming caller uses it to filter each stream byte
+//! once (see [`mpm_patterns::Matcher::find_resume_into`]).
 
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use mpm_graph::{Chunk, GraphBuilder, GraphConfig, ScanGraph, ScanOp, Scratchpad, SlotId, Stage};
+use mpm_graph::{
+    with_cached_scratchpad, Chunk, GraphBuilder, GraphConfig, Resume, ScanGraph, ScanOp,
+    Scratchpad, SlotId, Stage,
+};
 use mpm_patterns::MatchEvent;
 use mpm_simd::VectorBackend;
 
@@ -27,6 +34,12 @@ use crate::vpatch::VPatch;
 /// the first bucket-header misses, cheap enough to be a no-op on candidate
 /// droughts.
 const PRIME_CANDIDATES: usize = 64;
+
+/// Trailing positions of a haystack whose windows were cut short: the
+/// widest filter window is 4 bytes, so the last three positions of one
+/// call lacked the 2-byte (last position) or 4-byte (last three) window
+/// and are filtered again when the next call supplies the bytes.
+const TRUNCATED_WINDOWS: usize = 3;
 
 /// The two candidate slots every PATCH assembly allocates.
 #[derive(Clone, Copy)]
@@ -166,7 +179,10 @@ fn patch_builder() -> (GraphBuilder, PatchSlots) {
     let mut b = GraphBuilder::new();
     let slots = PatchSlots {
         a_short: b.slot(true),
-        a_long: b.slot(true),
+        // Only long candidates are carried: a short pattern (at most three
+        // bytes) starting before the last three positions fits in the
+        // haystack that filtered it, so its verification was final.
+        a_long: b.carried_slot(),
     };
     b.config(GraphConfig::from_env());
     (b, slots)
@@ -205,4 +221,30 @@ pub(crate) fn build_spatch_graph(tables: &Arc<SPatchTables>) -> ScanGraph {
         _backend: PhantomData,
     }));
     b.build()
+}
+
+/// The PATCH engines' one scan path, [`mpm_patterns::Matcher::find_resume_into`]:
+/// filters positions `>= resumed - 3` (the earlier ones were filtered with
+/// whole windows by a previous call), verifies those candidates plus the
+/// carried long candidates of the previous call, and carries the long
+/// candidates at `>= keep_from` into the next call. Untimed. Returns the
+/// number of positions filtered.
+pub(crate) fn resume(
+    graph: &ScanGraph,
+    haystack: &[u8],
+    resumed: usize,
+    carried: &mut Vec<u32>,
+    keep_from: usize,
+    out: &mut Vec<MatchEvent>,
+) -> usize {
+    let filter_from = resumed
+        .saturating_sub(TRUNCATED_WINDOWS)
+        .min(haystack.len());
+    let resume = Resume {
+        filter_from,
+        carried,
+        keep_from,
+    };
+    with_cached_scratchpad(|pad| graph.resume(haystack, resume, pad, out));
+    haystack.len() - filter_from
 }

@@ -241,16 +241,24 @@ impl Matcher for SPatch {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        // Execute the scan-graph assembly through this thread's cached
-        // scratchpad: chunked, and (config permitting) software-pipelined
-        // across chunks.
-        with_cached_scratchpad(|pad| self.graph.run(haystack, pad, out));
+        self.find_resume_into(haystack, 0, &mut Vec::new(), haystack.len(), out);
+    }
+
+    fn find_resume_into(
+        &self,
+        haystack: &[u8],
+        resumed: usize,
+        carried: &mut Vec<u32>,
+        keep_from: usize,
+        out: &mut Vec<MatchEvent>,
+    ) -> usize {
+        crate::graph_ops::resume(&self.graph, haystack, resumed, carried, keep_from, out)
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
         with_cached_scratchpad(|pad| {
             let mut out = Vec::new();
-            self.graph.run(haystack, pad, &mut out);
+            self.graph.run_timed(haystack, pad, &mut out);
             let c = pad.counters;
             MatcherStats {
                 bytes_scanned: haystack.len() as u64,

@@ -453,6 +453,7 @@ impl<B: VectorBackend<W>, const W: usize> VPatch<B, W> {
                 verify_nanos: scratch.verify_nanos,
                 filter3_blocks: scratch.filter3_blocks,
                 useful_lanes: scratch.useful_lanes,
+                ..MatcherStats::default()
             }
         })
     }
@@ -468,16 +469,24 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VPatch<B, W> {
     }
 
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>) {
-        // Execute the scan-graph assembly through this thread's cached
-        // scratchpad: chunked, and (config permitting) software-pipelined
-        // across chunks.
-        with_cached_scratchpad(|pad| self.graph.run(haystack, pad, out));
+        self.find_resume_into(haystack, 0, &mut Vec::new(), haystack.len(), out);
+    }
+
+    fn find_resume_into(
+        &self,
+        haystack: &[u8],
+        resumed: usize,
+        carried: &mut Vec<u32>,
+        keep_from: usize,
+        out: &mut Vec<MatchEvent>,
+    ) -> usize {
+        crate::graph_ops::resume(&self.graph, haystack, resumed, carried, keep_from, out)
     }
 
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
         with_cached_scratchpad(|pad| {
             let mut out = Vec::new();
-            self.graph.run(haystack, pad, &mut out);
+            self.graph.run_timed(haystack, pad, &mut out);
             let c = pad.counters;
             MatcherStats {
                 bytes_scanned: haystack.len() as u64,
@@ -487,6 +496,7 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VPatch<B, W> {
                 verify_nanos: c.verify_nanos,
                 filter3_blocks: c.filter3_blocks,
                 useful_lanes: c.useful_lanes,
+                ..MatcherStats::default()
             }
         })
     }
@@ -617,6 +627,35 @@ mod tests {
         let frac = stats.useful_lane_fraction(8).unwrap();
         assert!(frac > 0.0 && frac <= 1.0);
         assert!(stats.filtering_time_fraction().is_some());
+    }
+
+    #[test]
+    fn scan_with_stats_is_timed_and_counts_like_the_legacy_pass() {
+        // `find_into` runs the graph untimed; `scan_with_stats` must still
+        // time both phases and report the legacy pass's exact counters.
+        let set = mixed_set();
+        let hay = sample_input().repeat(8);
+        let check = |graph: MatcherStats, legacy: MatcherStats| {
+            assert!(graph.filter_nanos > 0 && graph.verify_nanos > 0);
+            let counters = |s: MatcherStats| {
+                (
+                    s.bytes_scanned,
+                    s.candidates,
+                    s.matches,
+                    s.filter3_blocks,
+                    s.useful_lanes,
+                )
+            };
+            assert_eq!(counters(graph), counters(legacy));
+        };
+        let sp = SPatch::build(&set);
+        check(sp.scan_with_stats(&hay), sp.scan_with_stats_legacy(&hay));
+        let vp = VPatch::<ScalarBackend, 8>::build(&set);
+        check(vp.scan_with_stats(&hay), vp.scan_with_stats_legacy(&hay));
+        if <Avx512Backend as VectorBackend<16>>::is_available() {
+            let vp = VPatch::<Avx512Backend, 16>::build(&set);
+            check(vp.scan_with_stats(&hay), vp.scan_with_stats_legacy(&hay));
+        }
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl Matcher for Dfc {
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
         let mut out = Vec::new();
         let counters = with_cached_scratchpad(|pad| {
-            self.graph.run(haystack, pad, &mut out);
+            self.graph.run_timed(haystack, pad, &mut out);
             pad.counters
         });
         MatcherStats {

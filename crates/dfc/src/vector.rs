@@ -214,7 +214,7 @@ impl<B: VectorBackend<W>, const W: usize> Matcher for VectorDfc<B, W> {
     fn scan_with_stats(&self, haystack: &[u8]) -> MatcherStats {
         let mut out = Vec::new();
         let counters = with_cached_scratchpad(|pad| {
-            self.graph.run(haystack, pad, &mut out);
+            self.graph.run_timed(haystack, pad, &mut out);
             pad.counters
         });
         MatcherStats {

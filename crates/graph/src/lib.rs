@@ -29,6 +29,11 @@
 //! executor drains that buffer immediately before the corresponding verify
 //! pass in both modes.
 //!
+//! An execution is untimed unless it is [`ScanGraph::run_timed`], and
+//! [`ScanGraph::resume`] continues an earlier execution on the same stream:
+//! it filters from a given position and carries one slot's entries from
+//! call to call (see [`Resume`]).
+//!
 //! The engine crates (`mpm-vpatch`, `mpm-dfc`, `mpm-wu-manber`) assemble
 //! their scan paths from these pieces; see DEVELOPMENT.md § "Scan graph"
 //! for the operator contract and the add-an-engine recipe.
@@ -38,7 +43,7 @@
 mod exec;
 mod scratchpad;
 
-pub use exec::{GraphBuilder, ScanGraph};
+pub use exec::{GraphBuilder, Resume, ScanGraph};
 pub use scratchpad::{with_cached_scratchpad, Scratchpad, SlotId, SlotSpec, StageCounters};
 
 use mpm_patterns::MatchEvent;

@@ -19,6 +19,9 @@ pub struct SlotSpec {
     /// [`StageCounters::candidates`]. Auxiliary slots (per-candidate side
     /// values, verify-stage scratch) are uncounted.
     pub counted: bool,
+    /// The graph's carried slot (see
+    /// [`GraphBuilder::carried_slot`](crate::GraphBuilder::carried_slot)).
+    pub carried: bool,
 }
 
 /// Counters accumulated over one graph execution, mirroring the fields the
@@ -34,9 +37,11 @@ pub struct StageCounters {
     pub filter3_blocks: u64,
     /// Genuinely active lanes over all third-filter evaluations (V-PATCH).
     pub useful_lanes: u64,
-    /// Nanoseconds spent in the filter stage.
+    /// Nanoseconds spent in the filter stage; zero unless the execution
+    /// was [`ScanGraph::run_timed`](crate::ScanGraph::run_timed).
     pub filter_nanos: u64,
-    /// Nanoseconds spent in the verify stage (including priming).
+    /// Nanoseconds spent in the verify stage (including priming); zero
+    /// unless the execution was timed.
     pub verify_nanos: u64,
 }
 
@@ -239,7 +244,16 @@ mod tests {
 
     fn two_slot_pad() -> Scratchpad {
         let mut pad = Scratchpad::new();
-        pad.configure(&[SlotSpec { counted: true }, SlotSpec { counted: false }]);
+        pad.configure(&[
+            SlotSpec {
+                counted: true,
+                carried: false,
+            },
+            SlotSpec {
+                counted: false,
+                carried: false,
+            },
+        ]);
         pad
     }
 
@@ -284,7 +298,10 @@ mod tests {
         let mut pad = two_slot_pad();
         pad.reserve_slot(SlotId(0), 1024);
         let cap = pad.slots[0].banks[0].capacity();
-        pad.configure(&[SlotSpec { counted: false }]);
+        pad.configure(&[SlotSpec {
+            counted: false,
+            carried: false,
+        }]);
         assert_eq!(pad.slots.len(), 1);
         assert!(pad.slots[0].banks[0].capacity() >= cap);
         assert!(!pad.slots[0].counted);
@@ -293,7 +310,10 @@ mod tests {
     #[test]
     fn cached_pad_footprint_is_bounded() {
         with_cached_scratchpad(|pad| {
-            pad.configure(&[SlotSpec { counted: true }]);
+            pad.configure(&[SlotSpec {
+                counted: true,
+                carried: false,
+            }]);
             pad.reserve_slot(SlotId(0), MAX_CACHED_CAPACITY * 4);
         });
         with_cached_scratchpad(|pad| {

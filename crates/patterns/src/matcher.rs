@@ -62,6 +62,13 @@ pub struct MatcherStats {
     /// filter evaluations. `useful_lanes / (filter3_blocks * W)` is the
     /// "useful elements in vector register" metric of Figure 5b.
     pub useful_lanes: u64,
+    /// Engine calls made on the caller's behalf (a streaming scanner makes
+    /// one per non-empty push). Deterministic, unlike the phase timings.
+    pub engine_calls: u64,
+    /// Input positions those engine calls filtered, as returned by
+    /// [`Matcher::find_resume_into`]: `engine_bytes / bytes_scanned` is the
+    /// number of times each stream byte went through a filter.
+    pub engine_bytes: u64,
 }
 
 impl MatcherStats {
@@ -96,6 +103,8 @@ impl MatcherStats {
         self.verify_nanos += other.verify_nanos;
         self.filter3_blocks += other.filter3_blocks;
         self.useful_lanes += other.useful_lanes;
+        self.engine_calls += other.engine_calls;
+        self.engine_bytes += other.engine_bytes;
     }
 }
 
@@ -149,6 +158,39 @@ pub trait Matcher {
     /// `out`. Occurrences may be appended in any order; callers that need a
     /// canonical order sort the vector (see [`normalize_matches`]).
     fn find_into(&self, haystack: &[u8], out: &mut Vec<MatchEvent>);
+
+    /// Scans `haystack` as the continuation of an earlier call on the same
+    /// stream, returning the number of input positions the engine filtered.
+    ///
+    /// `haystack` is the last `resumed` bytes of the previous call's
+    /// haystack (`resumed` = that call's length minus its `keep_from`)
+    /// followed by fresh bytes. The call must append every occurrence that
+    /// ends past `resumed` (`start + len > resumed`); occurrences wholly
+    /// inside the first `resumed` bytes may be appended too, and the caller
+    /// drops them. `carried` is engine-private state: pass the vector the
+    /// previous call left behind, or an empty one for the first call of a
+    /// stream. `keep_from` is where the next call's `resumed` bytes will
+    /// start in this haystack.
+    ///
+    /// The default ignores `carried` and scans the whole haystack with
+    /// [`Matcher::find_into`], returning `haystack.len()`. An engine that can
+    /// skip positions it already filtered overrides it, handing the state it
+    /// needs for that back through `carried`; its
+    /// [`Matcher::find_into`] must then be this method with `resumed = 0`,
+    /// empty state and `keep_from = haystack.len()`, so that there is one
+    /// scan path.
+    fn find_resume_into(
+        &self,
+        haystack: &[u8],
+        resumed: usize,
+        carried: &mut Vec<u32>,
+        keep_from: usize,
+        out: &mut Vec<MatchEvent>,
+    ) -> usize {
+        let _ = (resumed, carried, keep_from);
+        self.find_into(haystack, out);
+        haystack.len()
+    }
 
     /// Scans `haystack` and returns all matches in canonical
     /// (position, pattern) order.
@@ -327,11 +369,14 @@ mod tests {
             verify_nanos: 6,
             filter3_blocks: 7,
             useful_lanes: 8,
+            engine_calls: 9,
+            engine_bytes: 11,
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.bytes_scanned, 20);
         assert_eq!(a.useful_lanes, 16);
         assert_eq!(a.matches, 4);
+        assert_eq!((a.engine_calls, a.engine_bytes), (18, 22));
     }
 }

@@ -31,7 +31,7 @@ use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::group::GroupedRuleSet;
 use mpm_patterns::ports::FlowTuple;
 use mpm_patterns::rule::{RuleId, RuleMatch, RuleSet};
-use mpm_patterns::{MemoryFootprint, PatternArena, PatternSet};
+use mpm_patterns::{MatcherStats, MemoryFootprint, PatternArena, PatternSet};
 use mpm_verify::RuleConfirmer;
 use std::sync::Arc;
 
@@ -344,6 +344,16 @@ impl GroupedFlowScanner {
     /// flow (every selected group truncates the same bytes).
     pub fn truncated_bytes(&self) -> u64 {
         self.per_flow(|s| s.truncated_bytes())
+    }
+
+    /// Engine statistics summed over the selected groups (each group makes
+    /// its own engine call per push).
+    pub(crate) fn engine_stats(&self) -> MatcherStats {
+        let mut stats = MatcherStats::default();
+        for (s, _) in &self.scanners {
+            stats.merge(&s.stats());
+        }
+        stats
     }
 
     /// A per-group figure that is the same for every selected group,

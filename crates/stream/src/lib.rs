@@ -9,7 +9,10 @@
 //! * [`StreamScanner`] — wraps any [`mpm_patterns::Matcher`] and makes
 //!   chunked scanning equivalent to a one-shot scan: it carries the last
 //!   `max_pattern_len - 1` bytes between [`StreamScanner::push`] calls,
-//!   drops overlap re-reports, and translates match positions to absolute
+//!   scans `carry ++ chunk` in one engine call per push (resumed from the
+//!   engine's carried candidates, see
+//!   [`mpm_patterns::Matcher::find_resume_into`]), drops overlap
+//!   re-reports, and translates match positions to absolute
 //!   stream offsets. Property-tested: any chunking (down to 1-byte chunks)
 //!   reports byte-identical match sets to `find_all` on the whole input.
 //! * [`ScannerBuilder`] — the one entry point for multi-core scanning:

@@ -251,7 +251,9 @@ pub struct PipelineStats {
     pub matches: Vec<FlowMatch>,
     /// Rules confirmed during the interval, sorted by `(flow, rule, end)`.
     pub rule_matches: Vec<FlowRuleMatch>,
-    /// Scan statistics summed over all workers (exact, deterministic).
+    /// Scan statistics summed over all workers (exact, deterministic):
+    /// bytes, matches, and the engine work counters `engine_calls` /
+    /// `engine_bytes`.
     pub stats: MatcherStats,
     /// Flows resident across all workers at drain time.
     pub resident_flows: usize,
@@ -1195,23 +1197,15 @@ impl PipelineWorker {
         } else {
             0
         };
-        match &mut slot.scanner {
-            FlowScanner::Plain(scanner) => scanner.push(&packet.payload, &mut self.events),
-            FlowScanner::Rules(scanner) => {
-                scanner.push(&packet.payload, &mut self.events, &mut self.rule_events)
-            }
-            FlowScanner::Grouped(scanner) => scanner.push(&packet.payload, &mut self.rule_events),
-        }
+        slot.scanner.push(
+            &packet.payload,
+            &mut self.events,
+            &mut self.rule_events,
+            &mut self.stats,
+        );
         if self.max_flow_buffer.is_some() {
             self.truncated += slot.scanner.truncated_bytes() - truncated_before;
         }
-        self.stats.bytes_scanned += packet.payload.len() as u64;
-        // Same accounting as the barrier scanner: grouped mode counts
-        // confirmed rules (group-local pattern ids would be ambiguous).
-        self.stats.matches += match &slot.scanner {
-            FlowScanner::Grouped(_) => self.rule_events.len() as u64,
-            _ => self.events.len() as u64,
-        };
         self.packets += 1;
         self.bytes += packet.payload.len() as u64;
         for event in self.events.drain(..) {

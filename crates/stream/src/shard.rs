@@ -113,8 +113,9 @@ pub struct BatchResult {
     /// each rule at most once per flow-stream. Empty unless the scanner was
     /// built in rule mode.
     pub rule_matches: Vec<FlowRuleMatch>,
-    /// Per-batch statistics summed over all workers (`bytes_scanned` and
-    /// `matches` are exact and deterministic; the timing fields are zero —
+    /// Per-batch statistics summed over all workers (`bytes_scanned`,
+    /// `matches`, `engine_calls` and `engine_bytes` are exact and
+    /// deterministic; the timing fields are zero —
     /// wall-clock belongs to the caller, who knows what overlapped).
     pub stats: MatcherStats,
     /// Flows whose stream state is resident across all workers at flush
@@ -384,22 +385,8 @@ fn worker_loop(
                 };
                 events.clear();
                 rule_events.clear();
-                match &mut slot.scanner {
-                    FlowScanner::Plain(scanner) => scanner.push(&packet.payload, &mut events),
-                    FlowScanner::Rules(scanner) => {
-                        scanner.push(&packet.payload, &mut events, &mut rule_events)
-                    }
-                    FlowScanner::Grouped(scanner) => {
-                        scanner.push(&packet.payload, &mut rule_events)
-                    }
-                }
-                stats.bytes_scanned += packet.payload.len() as u64;
-                // Grouped mode reports no anchor events (group-local pattern
-                // ids would be ambiguous); count confirmed rules instead.
-                stats.matches += match &slot.scanner {
-                    FlowScanner::Grouped(_) => rule_events.len() as u64,
-                    _ => events.len() as u64,
-                };
+                slot.scanner
+                    .push(&packet.payload, &mut events, &mut rule_events, &mut stats);
                 matches.extend(events.drain(..).map(|event| FlowMatch { flow, event }));
                 rule_matches.extend(rule_events.drain(..).map(|m| FlowRuleMatch {
                     flow,

@@ -7,12 +7,17 @@
 //! wraps any [`Matcher`] engine and restores one-shot semantics:
 //!
 //! * it **carries over** the last `max_pattern_len - 1` bytes of the stream
-//!   between [`StreamScanner::push`] calls and re-scans only that boundary
-//!   region together with the next chunk's prefix, so a straddling match is
-//!   found exactly once;
+//!   between [`StreamScanner::push`] calls and makes **one** engine call per
+//!   push, over `carry ++ chunk`, so a straddling match is found in the push
+//!   that completes it;
+//! * it **resumes** the engine through [`Matcher::find_resume_into`]: an
+//!   engine that overrides it (S-PATCH, V-PATCH) filters only the fresh
+//!   bytes plus the last three carried positions, and re-verifies the
+//!   candidates it carried from the previous push, so each stream byte is
+//!   filtered about once;
 //! * it **de-duplicates** overlap re-reports: a match wholly contained in the
-//!   carried-over bytes was already reported by an earlier push and is
-//!   dropped;
+//!   carried-over bytes (`start + len <= carry_len`) was already reported by
+//!   an earlier push and is dropped;
 //! * it **translates** every reported position to the absolute offset in the
 //!   stream, so downstream consumers never see chunk-local coordinates.
 //!
@@ -22,6 +27,7 @@
 //! set of a one-shot scan of the whole input.
 
 use mpm_patterns::{MatchEvent, Matcher, MatcherStats, PatternId, PatternSet};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// A shareable, `Send + Sync` matching engine, as produced by
@@ -54,19 +60,51 @@ pub type SharedMatcher = Arc<dyn Matcher + Send + Sync>;
 pub struct StreamScanner {
     engine: SharedMatcher,
     /// Pattern length per [`mpm_patterns::PatternId`] — needed to decide
-    /// whether a boundary-region match extends into fresh bytes.
+    /// whether a match extends into fresh bytes.
     lengths: Arc<[u32]>,
     /// Bytes of history to keep: `max_pattern_len - 1`.
     overlap: usize,
     /// Up to `overlap` trailing bytes of the stream pushed so far.
     carry: Vec<u8>,
-    /// Reusable buffer for the boundary scan (`carry` + chunk prefix).
-    boundary: Vec<u8>,
-    /// Reusable per-push event buffer.
-    local: Vec<MatchEvent>,
+    /// Engine state carried between pushes (see
+    /// [`Matcher::find_resume_into`]); at most `overlap` entries.
+    carried: Vec<u32>,
     /// Absolute stream offset of the next byte to be pushed.
     position: usize,
     stats: MatcherStats,
+}
+
+thread_local! {
+    /// The `carry ++ chunk` buffer a push hands the engine, shared by every
+    /// scanner on the thread so that per-flow state stays the carry alone.
+    static JOINED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Upper bound on the bytes the cached join buffer keeps between pushes;
+/// a larger buffer (one huge chunk) is released after use.
+const MAX_JOINED_CAPACITY: usize = 1 << 20;
+
+/// Runs `f` on `carry ++ chunk`: `chunk` itself when there is no carry,
+/// otherwise the two joined in this thread's cached buffer (a transient one
+/// in the re-entrant case).
+fn with_joined<R>(carry: &[u8], chunk: &[u8], f: impl FnOnce(&[u8]) -> R) -> R {
+    if carry.is_empty() {
+        return f(chunk);
+    }
+    JOINED.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut joined) => {
+            joined.clear();
+            joined.extend_from_slice(carry);
+            joined.extend_from_slice(chunk);
+            let result = f(&joined);
+            if joined.capacity() > MAX_JOINED_CAPACITY {
+                joined.clear();
+                joined.shrink_to(MAX_JOINED_CAPACITY);
+            }
+            result
+        }
+        Err(_) => f(&[carry, chunk].concat()),
+    })
 }
 
 impl std::fmt::Debug for StreamScanner {
@@ -101,8 +139,9 @@ impl StreamScanner {
         Self::with_lengths(engine, lengths)
     }
 
-    /// Internal constructor used by `ShardedScanner` to mint per-flow
-    /// scanners without re-walking the pattern set.
+    /// Internal constructor the pipeline workers, `ShardedScanner` and the
+    /// rule and grouped paths use to mint per-flow scanners from shared
+    /// pattern lengths, without re-walking the pattern set.
     pub(crate) fn with_lengths(engine: SharedMatcher, lengths: Arc<[u32]>) -> Self {
         let max_len = lengths.iter().copied().max().unwrap_or(0) as usize;
         let overlap = max_len.saturating_sub(1);
@@ -111,8 +150,7 @@ impl StreamScanner {
             lengths,
             overlap,
             carry: Vec::with_capacity(overlap),
-            boundary: Vec::with_capacity(2 * overlap),
-            local: Vec::new(),
+            carried: Vec::new(),
             position: 0,
             stats: MatcherStats::default(),
         }
@@ -139,16 +177,26 @@ impl StreamScanner {
         &self.engine
     }
 
-    /// Accumulated whole-stream statistics (`bytes_scanned` counts each
-    /// stream byte exactly once; `matches` counts reported events).
+    /// Number of engine entries carried into the next push (long-pattern
+    /// candidates for the PATCH engines, none for engines on the default
+    /// path); never more than [`StreamScanner::overlap`].
+    pub fn carried_len(&self) -> usize {
+        self.carried.len()
+    }
+
+    /// Accumulated whole-stream statistics: `bytes_scanned` counts each
+    /// stream byte exactly once, `matches` counts reported events, and
+    /// `engine_calls` / `engine_bytes` count the engine calls made and the
+    /// positions they filtered.
     pub fn stats(&self) -> MatcherStats {
         self.stats
     }
 
     /// Resets the scanner for a new stream, keeping the engine and the
-    /// allocated buffers.
+    /// allocated buffers. Carried engine state is dropped with the carry.
     pub fn reset(&mut self) {
         self.carry.clear();
+        self.carried.clear();
         self.position = 0;
         self.stats = MatcherStats::default();
     }
@@ -163,40 +211,35 @@ impl StreamScanner {
         if chunk.is_empty() {
             return;
         }
-        let reported_before = out.len();
+        let first = out.len();
         let carry_len = self.carry.len();
 
-        // 1. Boundary region: matches that *start* inside the carried-over
-        //    bytes. Any such match ends within `carry + chunk[..overlap]`
-        //    (its start is ≥ position - overlap and its length ≤ overlap+1),
-        //    so scanning that small buffer sees all of them. Matches wholly
-        //    inside the carry were reported by an earlier push and are
-        //    dropped; matches starting at or after the carry/chunk seam are
-        //    left to the chunk scan below.
-        if carry_len > 0 {
-            self.boundary.clear();
-            self.boundary.extend_from_slice(&self.carry);
-            let prefix = chunk.len().min(self.overlap);
-            self.boundary.extend_from_slice(&chunk[..prefix]);
-            self.local.clear();
-            self.engine.find_into(&self.boundary, &mut self.local);
-            let base = self.position - carry_len;
-            for m in &self.local {
-                let len = self.lengths[m.pattern.index()] as usize;
-                if m.start < carry_len && m.start + len > carry_len {
-                    out.push(MatchEvent::new(base + m.start, m.pattern));
-                }
+        // One engine call over `carry ++ chunk`. Every match that ends in
+        // fresh bytes starts at or after the carry's start (it is at most
+        // `overlap + 1` long), so this call sees all of them; the carry's
+        // next start is `keep_from`.
+        let engine = &self.engine;
+        let carried = &mut self.carried;
+        let overlap = self.overlap;
+        let engine_bytes = with_joined(&self.carry, chunk, |haystack| {
+            let keep_from = haystack.len() - haystack.len().min(overlap);
+            engine.find_resume_into(haystack, carry_len, carried, keep_from, out)
+        });
+
+        // Drop the matches wholly inside the carry (an earlier push reported
+        // them) and translate the rest to absolute offsets, in place.
+        let base = self.position - carry_len;
+        let mut kept = first;
+        for i in first..out.len() {
+            let m = out[i];
+            if m.start + self.lengths[m.pattern.index()] as usize > carry_len {
+                out[kept] = MatchEvent::new(base + m.start, m.pattern);
+                kept += 1;
             }
         }
+        out.truncate(kept);
 
-        // 2. Fresh bytes: matches starting inside this chunk.
-        self.local.clear();
-        self.engine.find_into(chunk, &mut self.local);
-        for m in &self.local {
-            out.push(MatchEvent::new(self.position + m.start, m.pattern));
-        }
-
-        // 3. Advance the carry to the last `overlap` bytes of the stream.
+        // Advance the carry to the last `overlap` bytes of the stream.
         if self.overlap > 0 {
             if chunk.len() >= self.overlap {
                 self.carry.clear();
@@ -211,7 +254,9 @@ impl StreamScanner {
 
         self.position += chunk.len();
         self.stats.bytes_scanned += chunk.len() as u64;
-        self.stats.matches += (out.len() - reported_before) as u64;
+        self.stats.matches += (kept - first) as u64;
+        self.stats.engine_calls += 1;
+        self.stats.engine_bytes += engine_bytes as u64;
     }
 
     /// Convenience wrapper: scans `chunk` and returns the new matches.
@@ -310,6 +355,26 @@ mod tests {
         s.push(b"", &mut out);
         s.push(b"b", &mut out);
         assert_eq!(out, vec![MatchEvent::new(0, mpm_patterns::PatternId(0))]);
+    }
+
+    #[test]
+    fn default_path_work_counters_are_exact() {
+        // Overlap 4: each non-empty push is one engine call over
+        // `carry ++ chunk`, with the carry at 0, 2, 4 and 4 bytes before the
+        // 2-, 5-, 1- and 10-byte chunks.
+        let set = PatternSet::from_literals(&["abcde", "b"]);
+        let mut s = scanner_for(&set);
+        let mut out = Vec::new();
+        for chunk in [&b"ab"[..], b"", b"cdeab", b"c", b"bbbbbbbbbb"] {
+            s.push(chunk, &mut out);
+        }
+        let stats = s.stats();
+        assert_eq!(stats.engine_calls, 4);
+        assert_eq!(stats.engine_bytes, 2 + 7 + 5 + 14);
+        assert_eq!(stats.bytes_scanned, 18);
+        assert_eq!(s.carried_len(), 0, "the default path carries no state");
+        normalize_matches(&mut out);
+        assert_eq!(out, naive_find_all(&set, b"abcdeabcbbbbbbbbbb"));
     }
 
     #[test]

@@ -14,8 +14,8 @@ use crate::group::{GroupedEngineSet, GroupedFlowScanner};
 use crate::rules::RuleStreamScanner;
 use crate::stream::{SharedMatcher, StreamScanner};
 use mpm_patterns::ports::FlowTuple;
-use mpm_patterns::rule::RuleSet;
-use mpm_patterns::PatternSet;
+use mpm_patterns::rule::{RuleMatch, RuleSet};
+use mpm_patterns::{MatchEvent, MatcherStats, PatternSet};
 use mpm_verify::RuleConfirmer;
 use std::sync::Arc;
 
@@ -122,6 +122,44 @@ impl FlowScanner {
                 GroupedFlowScanner::with_max_buffer(engines.clone(), tuple, max_buffer),
             ),
         }
+    }
+
+    /// Scans one packet's payload, appending anchor events to `events` and
+    /// confirmed rules to `rule_events` (both empty on entry), and adds the
+    /// packet's bytes, matches and engine work to `stats`. Grouped mode
+    /// counts confirmed rules as matches (group-local pattern ids would be
+    /// ambiguous).
+    pub(crate) fn push(
+        &mut self,
+        payload: &[u8],
+        events: &mut Vec<MatchEvent>,
+        rule_events: &mut Vec<RuleMatch>,
+        stats: &mut MatcherStats,
+    ) {
+        let (calls_before, bytes_before) = self.engine_work();
+        match self {
+            FlowScanner::Plain(scanner) => scanner.push(payload, events),
+            FlowScanner::Rules(scanner) => scanner.push(payload, events, rule_events),
+            FlowScanner::Grouped(scanner) => scanner.push(payload, rule_events),
+        }
+        let (calls, bytes) = self.engine_work();
+        stats.bytes_scanned += payload.len() as u64;
+        stats.matches += match self {
+            FlowScanner::Grouped(_) => rule_events.len() as u64,
+            _ => events.len() as u64,
+        };
+        stats.engine_calls += calls - calls_before;
+        stats.engine_bytes += bytes - bytes_before;
+    }
+
+    /// Engine calls made and positions filtered on this flow so far.
+    fn engine_work(&self) -> (u64, u64) {
+        let stats = match self {
+            FlowScanner::Plain(s) => s.stats(),
+            FlowScanner::Rules(s) => s.stats(),
+            FlowScanner::Grouped(s) => s.engine_stats(),
+        };
+        (stats.engine_calls, stats.engine_bytes)
     }
 
     /// Stream bytes covered by rule confirmation (zero for pattern-only

@@ -71,6 +71,13 @@ fn plain_mode_pipeline_equals_barrier_at_every_worker_count() {
         assert_eq!(got.stats.bytes_scanned, expected.stats.bytes_scanned);
         assert_eq!(got.stats.matches, expected.stats.matches);
         assert_eq!(got.resident_flows, expected.resident_flows);
+        // The engine work counters are summed over workers and exact: one
+        // call per packet, and (the PATCH engines filtering each byte once
+        // plus three re-filtered positions per push) a bounded byte count.
+        assert_eq!(got.stats.engine_calls, packets.len() as u64);
+        assert_eq!(got.stats.engine_calls, expected.stats.engine_calls);
+        assert_eq!(got.stats.engine_bytes, expected.stats.engine_bytes);
+        assert!(got.stats.engine_bytes <= got.stats.bytes_scanned + 3 * packets.len() as u64);
         // Telemetry sanity: one latency sample per packet, every packet
         // accounted to exactly one worker, occupancy within the ring.
         assert_eq!(got.latency.count, packets.len() as u64);

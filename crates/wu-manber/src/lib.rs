@@ -434,7 +434,7 @@ impl Matcher for WuManber {
     fn scan_with_stats(&self, haystack: &[u8]) -> mpm_patterns::MatcherStats {
         let mut out = Vec::new();
         let counters = with_cached_scratchpad(|pad| {
-            self.graph.run(haystack, pad, &mut out);
+            self.graph.run_timed(haystack, pad, &mut out);
             pad.counters
         });
         mpm_patterns::MatcherStats {
